@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     InvalidProbability,
     TranslucencyParams,
@@ -95,6 +97,35 @@ def argument2_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     return EuComparison.of(eu_sm=eu_sm, eu_cm=eu_cm)
 
 
+# The closed forms, written once for floats and numpy arrays alike: every
+# operation is elementwise and in the same order, so both give the same bits.
+
+
+def _eu_cm(v_noncoop, v_coop, p, q, r):
+    return v_noncoop + r * p * (v_coop - v_noncoop) - (1.0 - r) * q * v_noncoop
+
+
+def _eu_sm(v_noncoop, q, r):
+    return v_noncoop + r * q * (1.0 - v_noncoop)
+
+
+def _critical_ratio(v_noncoop, v_coop, r):
+    gain = v_coop - v_noncoop
+    return (1.0 - v_noncoop) / gain + ((1.0 - r) * v_noncoop) / (r * gain)
+
+
+def translucent_columns(v_noncoop, v_coop, p, q, r) -> tuple[np.ndarray, ...]:
+    """``eu_cm, eu_sm, margin, critical_ratio, cm_rational`` over arrays of valid
+    points, elementwise bit-identical to ``cm_rational`` and ``critical_ratio``."""
+    eu_cm = _eu_cm(v_noncoop, v_coop, p, q, r)
+    eu_sm = _eu_sm(v_noncoop, q, r)
+    margin = eu_cm - eu_sm
+    # A zero or subnormal r sends the second term to inf, as in float maths.
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.where(r == 0.0, np.inf, _critical_ratio(v_noncoop, v_coop, r))
+    return eu_cm, eu_sm, margin, ratio, margin > 0.0
+
+
 def translucent_eu_cm(pay: TranslucentPayoffs, t: TranslucencyParams) -> float:
     """Expected utility of the constrained disposition under imperfect
     recognition.
@@ -103,11 +134,7 @@ def translucent_eu_cm(pay: TranslucentPayoffs, t: TranslucencyParams) -> float:
     mutual recognition among like-disposed partners, and lowered by
     (1-r)*q*v_noncoop for being exploited by an unrecognized defector.
     """
-    return (
-        pay.v_noncoop
-        + t.r * t.p * (pay.v_coop - pay.v_noncoop)
-        - (1.0 - t.r) * t.q * pay.v_noncoop
-    )
+    return _eu_cm(pay.v_noncoop, pay.v_coop, t.p, t.q, t.r)
 
 
 def translucent_eu_sm(pay: TranslucentPayoffs, t: TranslucencyParams) -> float:
@@ -117,7 +144,7 @@ def translucent_eu_sm(pay: TranslucentPayoffs, t: TranslucencyParams) -> float:
     Baseline v_noncoop, raised by r*q*(1 - v_noncoop) for the chance of
     exploiting a constrained partner who fails to see through her.
     """
-    return pay.v_noncoop + t.r * t.q * (1.0 - pay.v_noncoop)
+    return _eu_sm(pay.v_noncoop, t.q, t.r)
 
 
 def critical_ratio(pay: TranslucentPayoffs, r: float) -> float:
@@ -133,8 +160,7 @@ def critical_ratio(pay: TranslucentPayoffs, r: float) -> float:
     _check_probability("r", r)
     if r == 0.0:
         return math.inf
-    gain = pay.v_coop - pay.v_noncoop
-    return (1.0 - pay.v_noncoop) / gain + ((1.0 - r) * pay.v_noncoop) / (r * gain)
+    return _critical_ratio(pay.v_noncoop, pay.v_coop, r)
 
 
 def cm_rational(pay: TranslucentPayoffs, t: TranslucencyParams) -> EuComparison:

@@ -13,6 +13,11 @@ deterministic function of flags and seed. The DISPOSITIONS_SIM_THREADS
 environment variable caps Monte Carlo worker threads (0 = auto) without
 affecting output bytes.
 
+``sweep`` validates the whole grid before it writes the first byte, then
+computes and streams the rows in fixed-size chunks, so its memory grows
+with the axis lengths, not with the number of rows. A reader that closes
+stdout early (``| head``) ends any command quietly with exit 0.
+
 A JSON file passed via --config supplies defaults for any flag (keyed by
 the long flag name, e.g. {"vnc": 0.5, "axis": ["r=0:1:5"]}); explicit
 flags take precedence.
@@ -24,39 +29,41 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .analytic import cm_rational, critical_ratio, translucent_eu_cm, translucent_eu_sm
+from .analytic import (
+    cm_rational,
+    critical_ratio,
+    translucent_columns,
+    translucent_eu_cm,
+    translucent_eu_sm,
+)
 from .core import (
     InvalidProbability,
     NonFiniteValue,
     OrderingViolation,
     TranslucencyParams,
     TranslucentPayoffs,
+    translucent_point_valid,
 )
 from .dynamics import evolve, interior_threshold
 from .encounter import EncounterConfig
-from .montecarlo import InvalidTrialCount, estimate_eus
+from .montecarlo import InvalidTrialCount, estimate_eus, resolve_workers
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
-_FLAG_FOR_PARAM = {
-    "p": "p",
-    "q": "q",
-    "r": "r",
-    "v_noncoop": "vnc",
-    "v_coop": "vc",
-}
+# Rows per sweep chunk: amortizes numpy's per-call cost, keeps a chunk < 1 MB.
+SWEEP_CHUNK_ROWS = 4096
+
+_FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
 
 _VALIDATION_ERRORS = (
-    OrderingViolation,
-    NonFiniteValue,
-    InvalidProbability,
-    InvalidTrialCount,
+    OrderingViolation, NonFiniteValue, InvalidProbability, InvalidTrialCount
 )
 
 
@@ -65,59 +72,27 @@ class CliError(Exception):
 
 
 @dataclass(frozen=True)
-class SweepAxis:
-    """One swept parameter: ``count`` evenly spaced values over [start, stop]."""
-
-    name: str
-    start: float
-    stop: float
-    count: int
-
-    def values(self) -> list[float]:
-        if self.count == 1:
-            return [self.start]
-        return [float(v) for v in np.linspace(self.start, self.stop, self.count)]
-
-
-@dataclass(frozen=True)
 class SweepGrid:
-    """Axes in command-line order plus fixed values for the other parameters."""
+    """Swept parameters' values in command-line order; the rest are fixed."""
 
-    axes: tuple[SweepAxis, ...]
+    axes: dict[str, np.ndarray]
     fixed: dict[str, float]
 
-    def points(self) -> Iterator[dict[str, float]]:
-        """Grid points in lexicographic order, first-given axis outermost."""
-
-        def rec(index: int, point: dict[str, float]) -> Iterator[dict[str, float]]:
-            if index == len(self.axes):
-                yield dict(point)
-                return
-            axis = self.axes[index]
-            for value in axis.values():
-                point[axis.name] = value
-                yield from rec(index + 1, point)
-
-        yield from rec(0, dict(self.fixed))
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    p: float
-    q: float
-    r: float
-    v_noncoop: float
-    v_coop: float
-    eu_cm: float
-    eu_sm: float
-    margin: float
-    critical_ratio: float
-    cm_rational: bool
+    def chunks(self) -> Iterator[dict[str, np.ndarray]]:
+        """Every parameter's column over chunks of ``SWEEP_CHUNK_ROWS`` rows,
+        in lexicographic order with the first-given axis outermost."""
+        shape = tuple(map(len, self.axes.values()))
+        n_rows = math.prod(shape)
+        for start in range(0, n_rows, SWEEP_CHUNK_ROWS):
+            rows = np.arange(start, min(start + SWEEP_CHUNK_ROWS, n_rows))
+            columns = {name: np.full(len(rows), v) for name, v in self.fixed.items()}
+            indices = np.unravel_index(rows, shape)
+            for (name, values), index in zip(self.axes.items(), indices):
+                columns[name] = values[index]
+            yield columns
 
 
-SWEEP_HEADER = (
-    "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
-)
+SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
 
 
 def _fmt(value: float) -> str:
@@ -125,8 +100,12 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+def _fmt_column(values: np.ndarray) -> Iterator[str]:
+    """``_fmt`` of each value, formatting each distinct bit pattern once:
+    most sweep columns repeat, since only the innermost axis varies by row."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [_fmt(v) for v in distinct.view(np.float64).tolist()]
+    return map(text.__getitem__, inverse.tolist())
 
 
 def _json_number(value: float) -> Any:
@@ -168,7 +147,7 @@ def _resolve(
 
 
 def _translucent_inputs(
-    args: argparse.Namespace, config: dict[str, Any]
+    args: argparse.Namespace, config: dict[str, Any], rate_flag: str = "r"
 ) -> tuple[TranslucentPayoffs, TranslucencyParams]:
     pay = TranslucentPayoffs(
         v_noncoop=float(_resolve(args, config, "vnc")),
@@ -177,7 +156,7 @@ def _translucent_inputs(
     t = TranslucencyParams(
         p=float(_resolve(args, config, "p")),
         q=float(_resolve(args, config, "q")),
-        r=float(_resolve(args, config, "r")),
+        r=float(_resolve(args, config, rate_flag)),
     )
     return pay, t
 
@@ -202,8 +181,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     pay, t = _translucent_inputs(args, config)
     n_trials = int(_resolve(args, config, "n"))
     seed = int(_resolve(args, config, "seed", default=0))
+    if seed < 0:
+        raise CliError(f"seed must be >= 0, got {seed}")
+    try:
+        workers = resolve_workers()
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
-    report = estimate_eus(EncounterConfig(payoffs=pay, params=t), n_trials, seed)
+    report = estimate_eus(EncounterConfig(payoffs=pay, params=t), n_trials, seed, workers)
     eu_cm = translucent_eu_cm(pay, t)
     eu_sm = translucent_eu_sm(pay, t)
     record = {
@@ -225,27 +210,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_axis(spec: str) -> SweepAxis:
+def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
+    """The parameter name of an axis spec and its COUNT evenly spaced values."""
     try:
         name, _, rest = spec.partition("=")
         start_s, stop_s, count_s = rest.split(":")
-        axis = SweepAxis(
-            name=name.strip(),
-            start=float(start_s),
-            stop=float(stop_s),
-            count=int(count_s),
-        )
+        start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError:
         raise CliError(
             f"bad axis spec {spec!r}, expected NAME=START:STOP:COUNT"
         ) from None
-    if axis.name not in PARAM_NAMES:
+    name = name.strip()
+    if name not in PARAM_NAMES:
         raise CliError(
-            f"unknown sweep axis {axis.name!r}, expected one of {', '.join(PARAM_NAMES)}"
+            f"unknown sweep axis {name!r}, expected one of {', '.join(PARAM_NAMES)}"
         )
-    if axis.count < 1:
-        raise CliError(f"axis {axis.name!r} needs a positive point count")
-    return axis
+    if count < 1:
+        raise CliError(f"axis {name!r} needs a positive point count")
+    # One point is START itself, whatever STOP is (linspace turns -0.0 into 0.0).
+    return name, np.array([start]) if count == 1 else np.linspace(start, stop, count)
 
 
 def build_sweep_grid(
@@ -253,15 +236,14 @@ def build_sweep_grid(
 ) -> SweepGrid:
     if not axis_specs:
         raise CliError("sweep needs at least one --axis NAME=START:STOP:COUNT")
-    axes = tuple(_parse_axis(spec) for spec in axis_specs)
-    axis_names = [axis.name for axis in axes]
-    if len(set(axis_names)) != len(axis_names):
+    axes = dict(map(_parse_axis, axis_specs))
+    if len(axes) != len(axis_specs):
         raise CliError("each parameter may be swept by at most one axis")
 
     fixed: dict[str, float] = {}
     for param in PARAM_NAMES:
         flag = _FLAG_FOR_PARAM[param]
-        if param in axis_names:
+        if param in axes:
             if getattr(args, flag, None) is not None:
                 raise CliError(
                     f"parameter {param} is swept by an axis; drop the --{flag} flag"
@@ -271,72 +253,40 @@ def build_sweep_grid(
     return SweepGrid(axes=axes, fixed=fixed)
 
 
-def _sweep_row(point: dict[str, float]) -> SweepRow:
-    pay = TranslucentPayoffs(
-        v_noncoop=point["v_noncoop"], v_coop=point["v_coop"]
-    )
-    t = TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
-    comparison = cm_rational(pay, t)
-    return SweepRow(
-        p=t.p,
-        q=t.q,
-        r=t.r,
-        v_noncoop=pay.v_noncoop,
-        v_coop=pay.v_coop,
-        eu_cm=comparison.eu_cm,
-        eu_sm=comparison.eu_sm,
-        margin=comparison.margin,
-        critical_ratio=critical_ratio(pay, t.r),
-        cm_rational=comparison.cm_is_rational,
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     axis_specs = args.axis if args.axis is not None else config.get("axis", [])
+    if not (isinstance(axis_specs, list) and all(isinstance(a, str) for a in axis_specs)):
+        raise CliError(f'config key "axis" must be a list of strings, got {axis_specs!r}')
     grid = build_sweep_grid(axis_specs, args, config)
 
     # Validate the whole grid before emitting anything: a bad point must
-    # fail the run, not be skipped mid-stream.
-    rows = []
-    for point in grid.points():
-        try:
-            rows.append(_sweep_row(point))
-        except _VALIDATION_ERRORS as exc:
-            values = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
-            raise CliError(f"invalid grid point ({values}): {exc}") from exc
+    # fail the run, not cut the output short. The first bad point in row
+    # order goes through the constructors, whose message names the fault.
+    for columns in grid.chunks():
+        invalid = np.flatnonzero(~translucent_point_valid(**columns))
+        if invalid.size:
+            point = {name: float(columns[name][invalid[0]]) for name in PARAM_NAMES}
+            try:
+                TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
+                TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
+            except _VALIDATION_ERRORS as exc:
+                values = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
+                raise CliError(f"invalid grid point ({values}): {exc}") from exc
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                _fmt(row.p),
-                _fmt(row.q),
-                _fmt(row.r),
-                _fmt(row.v_noncoop),
-                _fmt(row.v_coop),
-                _fmt(row.eu_cm),
-                _fmt(row.eu_sm),
-                _fmt(row.margin),
-                _fmt(row.critical_ratio),
-                _fmt_bool(row.cm_rational),
-            ]
-        )
+    sys.stdout.write(SWEEP_HEADER + "\n")
+    for columns in grid.chunks():
+        *numbers, rational = translucent_columns(**columns)
+        fields = [_fmt_column(columns[name]) for name in PARAM_NAMES]
+        fields += [_fmt_column(column) for column in numbers]
+        fields.append(np.where(rational, "true", "false").tolist())
+        sys.stdout.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return 0
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    pay = TranslucentPayoffs(
-        v_noncoop=float(_resolve(args, config, "vnc")),
-        v_coop=float(_resolve(args, config, "vc")),
-    )
-    t0 = TranslucencyParams(
-        p=float(_resolve(args, config, "p")),
-        q=float(_resolve(args, config, "q")),
-        r=float(_resolve(args, config, "r0")),
-    )
+    pay, t0 = _translucent_inputs(args, config, rate_flag="r0")
     generations = int(_resolve(args, config, "generations"))
     if generations < 1:
         raise CliError(f"generations must be >= 1, got {generations}")
@@ -414,7 +364,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``). Stop quietly, and
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,6 +119,24 @@ class TestSimulateCommand:
         assert code == 2
         assert "InvalidTrialCount" in err
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10", "--seed", "-1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_malformed_thread_count_exits_2(self, threads, capsys, monkeypatch):
+        monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", threads)
+        code, out, err = run_cli(
+            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert threads in err
+
     def test_seed_defaults_to_zero(self, capsys):
         _, out_default, _ = run_cli(
             ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"], capsys
@@ -310,12 +328,42 @@ class TestConfigFile:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("axis", ["r=0:1:3", ["r=0:1:3", 5], {"r": "0:1:3"}])
+    def test_config_axis_must_be_a_list_of_strings(self, axis, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps({"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "axis": axis})
+        )
+        code, out, err = run_cli(["sweep", "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith('error: config key "axis" must be a list')
+        assert err.count("\n") == 1
+
     def test_missing_config_file_exits_2(self, capsys):
         code, _, err = run_cli(
             ["analytic", "--config", "/nonexistent.json"], capsys
         )
         assert code == 2
         assert "config" in err
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_0_quietly(self):
+        # About 3 MB of CSV: far more than a pipe buffers, so the writer
+        # is still writing when the reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dispositions_sim", "sweep", *REFERENCE_FLAGS,
+             "--axis", "r=0:1:20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert header == (SWEEP_HEADER + "\n").encode()
+        assert (code, err) == (0, b"")
 
 
 class TestDeterminism:

@@ -1,15 +1,17 @@
-"""Sweep output contract: golden bytes, a point-by-point reference and the
-invalid-point message."""
+"""Sweep output contract: golden bytes, a point-by-point reference, the
+invalid-point message, and memory that does not grow with the row count."""
 
 import contextlib
 import hashlib
 import io
 import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispositions_sim import (
@@ -138,8 +140,13 @@ def grids(draw):
     return fixed, axes
 
 
+# A subnormal r overflows the critical ratio's second term to inf; numpy
+# must do so as quietly as float division does.
+@example(({"q": 0.0, "r": 2.2250738585e-313, "v_noncoop": 0.25, "v_coop": 0.75},
+          [("p", 0.0, 0.0, 1)]))
 @settings(max_examples=150, deadline=None)
 @given(grids())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_matches_point_by_point_reference(grid):
     fixed, axes = grid
     expected = reference_sweep(fixed, axes)
@@ -182,3 +189,37 @@ def test_first_invalid_point_in_row_order_is_named(argv, message):
     assert out == ""
     assert err == f"error: invalid grid point {message}\n"
 
+
+_PEAK_RSS_CHILD = """
+import sys
+from dispositions_sim.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    peak = next(line for line in status if line.startswith("VmHWM:"))
+print(code, peak.split()[1], file=sys.stderr)
+"""
+
+
+def _sweep_peak_rss_kib(p_count, r_count):
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, "sweep",
+         "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
+         "--axis", f"p=0:1:{p_count}", "--axis", f"r=0:1:{r_count}"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    code, peak_kib = result.stderr.split()
+    assert code == "0"
+    return int(peak_kib)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs VmHWM from procfs"
+)
+def test_sweep_memory_does_not_grow_with_row_count():
+    small = _sweep_peak_rss_kib(100, 100)  # 10^4 rows
+    large = _sweep_peak_rss_kib(400, 500)  # 2 x 10^5 rows
+    assert abs(large - small) < 4 * 1024, (small, large)
