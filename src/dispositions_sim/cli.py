@@ -279,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         *numbers, rational = translucent_columns(**columns)
         fields = [_fmt_column(columns[name]) for name in PARAM_NAMES]
         fields += [_fmt_column(column) for column in numbers]
-        fields.append(np.where(rational, "true", "false").tolist())
+        fields.append(map(("false", "true").__getitem__, rational.tolist()))
         sys.stdout.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return 0
 
