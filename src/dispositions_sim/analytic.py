@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    InvalidProbability,
     TranslucencyParams,
     TranslucentPayoffs,
     TransparentPayoffs,
+    check_probability,
 )
 
 
@@ -60,11 +60,6 @@ class EuComparison:
         )
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
-
-
 def argument1_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     """Expected utilities when each disposition is assumed exploitable.
 
@@ -76,7 +71,7 @@ def argument1_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     cooperators do not cooperate with recognized defectors, which is what
     ``argument2_eus`` corrects.
     """
-    _check_probability("p", p)
+    check_probability("p", p)
     eu_sm = p * pay.u_temptation + (1.0 - p) * pay.u_both_defect
     eu_cm = p * pay.u_coop + (1.0 - p) * pay.u_both_defect
     return EuComparison.of(eu_sm=eu_sm, eu_cm=eu_cm)
@@ -91,7 +86,7 @@ def argument2_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     defects otherwise, so her expectation is p*u_coop + (1-p)*u_both_defect,
     which strictly exceeds u_both_defect whenever p > 0.
     """
-    _check_probability("p", p)
+    check_probability("p", p)
     eu_sm = pay.u_both_defect
     eu_cm = p * pay.u_coop + (1.0 - p) * pay.u_both_defect
     return EuComparison.of(eu_sm=eu_sm, eu_cm=eu_cm)
@@ -154,11 +149,11 @@ def critical_ratio(pay: TranslucentPayoffs, r: float) -> float:
         (1 - v_noncoop) / (v_coop - v_noncoop)
             + (1 - r) * v_noncoop / (r * (v_coop - v_noncoop)),
     or ``math.inf`` when r == 0 (no constrained partners exist, so no
-    finite recognition advantage suffices). The value is strictly
-    decreasing in r on (0, 1].
+    finite recognition advantage suffices) or r*(v_coop - v_noncoop)
+    underflows to 0. The value is strictly decreasing in r on (0, 1].
     """
-    _check_probability("r", r)
-    if r == 0.0:
+    check_probability("r", r)
+    if r * (pay.v_coop - pay.v_noncoop) == 0.0:
         return math.inf
     return _critical_ratio(pay.v_noncoop, pay.v_coop, r)
 

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -67,8 +68,38 @@ _VALIDATION_ERRORS = (
 )
 
 
+# Every flag's argparse keywords. The type reads the command line and, through
+# _config_value, the config file; --axis is the one list-valued flag.
+FLAGS: dict[str, dict[str, Any]] = {
+    "vnc": dict(type=float, help="non-cooperation payoff in (0, 1)"),
+    "vc": dict(type=float, help="cooperation payoff in (v_noncoop, 1)"),
+    "p": dict(type=float, help="mutual-recognition probability"),
+    "q": dict(type=float, help="one-sided misrecognition probability"),
+    "r": dict(type=float, help="constrained population share"),
+    "r0": dict(type=float, help="initial constrained share"),
+    "config": dict(type=str, help="JSON file with defaults for any flag"),
+    "n": dict(type=int, help="number of trials (>= 1)"),
+    "seed": dict(type=int, help="RNG seed (default 0)"),
+    "axis": dict(
+        action="append",
+        metavar="NAME=START:STOP:COUNT",
+        help="sweep a parameter (repeatable; first axis is outermost)",
+    ),
+    "generations": dict(type=int, help="generations to run (>= 1)"),
+}
+
+_EXPECTED = {float: "a number", int: "an integer", list: "a list of strings"}
+
+
 class CliError(Exception):
     """Usage or validation problem; reported on stderr with exit code 2."""
+
+
+class Settings(ChainMap):
+    """Flag values from the command line, then from the config file."""
+
+    def __missing__(self, flag: str) -> Any:
+        raise CliError(f"missing required parameter --{flag}")
 
 
 @dataclass(frozen=True)
@@ -113,57 +144,51 @@ def _json_number(value: float) -> Any:
     return value if math.isfinite(value) else _fmt(value)
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
+def _config_value(flag: str, value: Any) -> Any:
+    """A config file's value for ``flag``, as the flag's type.
+
+    A string reads as it would on the command line; a number must be of the
+    flag's type, an integral float counting as an int.
+    """
+    kind = FLAGS[flag].get("type", list)
     try:
-        with open(path, encoding="utf-8") as handle:
+        if kind is list:
+            if isinstance(value, list) and all(isinstance(v, str) for v in value):
+                return value
+        elif isinstance(value, str):
+            return kind(value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if kind is float or isinstance(value, int) or value.is_integer():
+                return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise CliError(f'config key "{flag}" must be {_EXPECTED[kind]}, got {value!r}')
+
+
+def _settings(args: argparse.Namespace) -> Settings:
+    """The subcommand's flags: each given value, else the config file's."""
+    given = {f: v for f, v in vars(args).items() if f in FLAGS and v is not None}
+    if args.config is None:
+        return Settings(given)
+    try:
+        with open(args.config, encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(config, dict):
-        raise CliError(f"config file {path} must contain a JSON object")
-    return config
+        raise CliError(f"config file {args.config} must contain a JSON object")
+    # A flag given on the command line, --config included, is not read here.
+    defaults = {
+        flag: _config_value(flag, config[flag])
+        for flag in vars(args)
+        if flag in FLAGS and flag not in given and config.get(flag) is not None
+    }
+    return Settings(given, defaults)
 
 
-_REQUIRED = object()
-
-
-def _resolve(
-    args: argparse.Namespace,
-    config: dict[str, Any],
-    key: str,
-    default: Any = _REQUIRED,
-) -> Any:
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise CliError(f"missing required parameter --{key}")
-        return default
-    return value
-
-
-def _translucent_inputs(
-    args: argparse.Namespace, config: dict[str, Any], rate_flag: str = "r"
-) -> tuple[TranslucentPayoffs, TranslucencyParams]:
-    pay = TranslucentPayoffs(
-        v_noncoop=float(_resolve(args, config, "vnc")),
-        v_coop=float(_resolve(args, config, "vc")),
-    )
-    t = TranslucencyParams(
-        p=float(_resolve(args, config, "p")),
-        q=float(_resolve(args, config, "q")),
-        r=float(_resolve(args, config, rate_flag)),
-    )
-    return pay, t
-
-
-def cmd_analytic(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    pay, t = _translucent_inputs(args, config)
+def cmd_analytic(settings: Settings) -> int:
+    pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
+    t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])
     comparison = cm_rational(pay, t)
     record = {
         "eu_cm": comparison.eu_cm,
@@ -176,11 +201,11 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    pay, t = _translucent_inputs(args, config)
-    n_trials = int(_resolve(args, config, "n"))
-    seed = int(_resolve(args, config, "seed", default=0))
+def cmd_simulate(settings: Settings) -> int:
+    pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
+    t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])
+    n_trials = settings["n"]
+    seed = settings.get("seed", 0)
     if seed < 0:
         raise CliError(f"seed must be >= 0, got {seed}")
     try:
@@ -231,9 +256,8 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
     return name, np.array([start]) if count == 1 else np.linspace(start, stop, count)
 
 
-def build_sweep_grid(
-    axis_specs: Sequence[str], args: argparse.Namespace, config: dict[str, Any]
-) -> SweepGrid:
+def build_sweep_grid(settings: Settings) -> SweepGrid:
+    axis_specs = settings.get("axis", [])
     if not axis_specs:
         raise CliError("sweep needs at least one --axis NAME=START:STOP:COUNT")
     axes = dict(map(_parse_axis, axis_specs))
@@ -244,21 +268,17 @@ def build_sweep_grid(
     for param in PARAM_NAMES:
         flag = _FLAG_FOR_PARAM[param]
         if param in axes:
-            if getattr(args, flag, None) is not None:
+            if flag in settings.maps[0]:
                 raise CliError(
                     f"parameter {param} is swept by an axis; drop the --{flag} flag"
                 )
             continue
-        fixed[param] = float(_resolve(args, config, flag))
+        fixed[param] = settings[flag]
     return SweepGrid(axes=axes, fixed=fixed)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    axis_specs = args.axis if args.axis is not None else config.get("axis", [])
-    if not (isinstance(axis_specs, list) and all(isinstance(a, str) for a in axis_specs)):
-        raise CliError(f'config key "axis" must be a list of strings, got {axis_specs!r}')
-    grid = build_sweep_grid(axis_specs, args, config)
+def cmd_sweep(settings: Settings) -> int:
+    grid = build_sweep_grid(settings)
 
     # Validate the whole grid before emitting anything: a bad point must
     # fail the run, not cut the output short. The first bad point in row
@@ -284,10 +304,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    pay, t0 = _translucent_inputs(args, config, rate_flag="r0")
-    generations = int(_resolve(args, config, "generations"))
+def cmd_evolve(settings: Settings) -> int:
+    pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
+    t0 = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r0"])
+    generations = settings["generations"]
     if generations < 1:
         raise CliError(f"generations must be >= 1, got {generations}")
 
@@ -314,49 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, rate_flag: str) -> None:
-        p.add_argument("--vnc", type=float, help="non-cooperation payoff in (0, 1)")
-        p.add_argument("--vc", type=float, help="cooperation payoff in (v_noncoop, 1)")
-        p.add_argument("--p", type=float, help="mutual-recognition probability")
-        p.add_argument("--q", type=float, help="one-sided misrecognition probability")
-        if rate_flag == "r":
-            p.add_argument("--r", type=float, help="constrained population share")
-        elif rate_flag == "r0":
-            p.add_argument("--r0", type=float, help="initial constrained share")
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-
-    p_analytic = sub.add_parser(
-        "analytic", help="closed-form expected utilities as one JSON record"
-    )
-    add_common(p_analytic, rate_flag="r")
-    p_analytic.set_defaults(handler=cmd_analytic)
-
-    p_simulate = sub.add_parser(
-        "simulate", help="Monte Carlo estimate with analytic deviations (JSON)"
-    )
-    add_common(p_simulate, rate_flag="r")
-    p_simulate.add_argument("--n", type=int, help="number of trials (>= 1)")
-    p_simulate.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p_simulate.set_defaults(handler=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="derived quantities over a grid (CSV)")
-    add_common(p_sweep, rate_flag="r")
-    p_sweep.add_argument(
-        "--axis",
-        action="append",
-        metavar="NAME=START:STOP:COUNT",
-        help="sweep a parameter (repeatable; first axis is outermost)",
-    )
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_evolve = sub.add_parser(
-        "evolve", help="replicator trajectory of the constrained share (CSV)"
-    )
-    add_common(p_evolve, rate_flag="r0")
-    p_evolve.add_argument("--generations", type=int, help="generations to run (>= 1)")
-    p_evolve.set_defaults(handler=cmd_evolve)
-
+    # Built per call, not at import, so the handlers are looked up when it runs.
+    for name, handler, flags, help_text in (
+        ("analytic", cmd_analytic, ("r", "config"),
+         "closed-form expected utilities as one JSON record"),
+        ("simulate", cmd_simulate, ("r", "config", "n", "seed"),
+         "Monte Carlo estimate with analytic deviations (JSON)"),
+        ("sweep", cmd_sweep, ("r", "config", "axis"), "derived quantities over a grid (CSV)"),
+        ("evolve", cmd_evolve, ("r0", "config", "generations"),
+         "replicator trajectory of the constrained share (CSV)"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        for flag in ("vnc", "vc", "p", "q", *flags):
+            command.add_argument(f"--{flag}", **FLAGS[flag])
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -364,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        code = args.handler(_settings(args))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -67,6 +67,12 @@ def _in_unit_interval(value):
     return (0.0 <= value) & (value <= 1.0)
 
 
+def check_probability(name: str, value: float) -> None:
+    """Raise ``InvalidProbability`` unless ``value`` lies in [0, 1]."""
+    if not _in_unit_interval(value):
+        raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def translucent_point_valid(v_noncoop, v_coop, p, q, r):
     """Where both translucent constructors accept the point, elementwise."""
     in_range = _in_unit_interval(p) & _in_unit_interval(q) & _in_unit_interval(r)
@@ -138,11 +144,7 @@ class TranslucencyParams:
 
     def __post_init__(self) -> None:
         for name in ("p", "q", "r"):
-            value = getattr(self, name)
-            if not _in_unit_interval(value):
-                raise InvalidProbability(
-                    f"{name} must lie in [0, 1], got {value!r}"
-                )
+            check_probability(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from .core import TranslucencyParams, TranslucentPayoffs
 
 CONVERGENCE_TOL = 1e-12
 
-_BISECTION_TOL = 1e-10
-
 
 class DegenerateFitness(ArithmeticError):
     """Both dispositions have zero fitness, leaving the update undefined."""
@@ -93,37 +91,19 @@ def evolve(
     if generations < 1:
         raise ValueError(f"generations must be >= 1, got {generations}")
 
-    r = t0.r
-    params = t0
-    steps = [
-        TrajectoryStep(
-            generation=0,
-            r=r,
-            eu_cm=translucent_eu_cm(pay, params),
-            eu_sm=translucent_eu_sm(pay, params),
-        )
-    ]
+    def record(generation: int, r: float) -> TrajectoryStep:
+        t = TranslucencyParams(p=t0.p, q=t0.q, r=r)
+        eu_cm, eu_sm = translucent_eu_cm(pay, t), translucent_eu_sm(pay, t)
+        return TrajectoryStep(generation, r, eu_cm, eu_sm)
+
+    # Each step's EUs are evaluated once: recorded, then fed to the update.
+    steps = [record(0, t0.r)]
     for generation in range(1, generations + 1):
-        r_next = replicator_step(pay, params)
-        converged = abs(r_next - r) < CONVERGENCE_TOL
-        r = r_next
-        params = TranslucencyParams(p=t0.p, q=t0.q, r=r)
-        steps.append(
-            TrajectoryStep(
-                generation=generation,
-                r=r,
-                eu_cm=translucent_eu_cm(pay, params),
-                eu_sm=translucent_eu_sm(pay, params),
-            )
-        )
-        if converged:
+        last = steps[-1]
+        steps.append(record(generation, _ratio_step(last.r, last.eu_cm, last.eu_sm)))
+        if abs(steps[-1].r - last.r) < CONVERGENCE_TOL:
             break
     return Trajectory(steps=tuple(steps))
-
-
-def _margin_at(pay: TranslucentPayoffs, p: float, q: float, r: float) -> float:
-    t = TranslucencyParams(p=p, q=q, r=r)
-    return translucent_eu_cm(pay, t) - translucent_eu_sm(pay, t)
 
 
 def interior_threshold(
@@ -131,24 +111,21 @@ def interior_threshold(
 ) -> float | None:
     """Interior root of EU_cm(r) = EU_sm(r), or None if the sign is constant.
 
-    Looks for a sign change of the margin across (0, 1) and bisects to
-    within 1e-10. The margin is linear in r, so bisection is overkill but
-    cheap and assumption-free. The root, when it exists, is the unstable
-    threshold separating extinction from fixation of the constrained
-    disposition.
+    The margin EU_cm - EU_sm is linear in r. A root exists when the margin
+    is nonzero at r = 0 and r = 1 with opposite signs, and it is then
+
+        q * v_noncoop / (p * (v_coop - v_noncoop) - q * (1 - 2 * v_noncoop)),
+
+    the unstable threshold separating extinction from fixation of the
+    constrained disposition.
     """
-    lo, hi = 0.0, 1.0
-    m_lo = _margin_at(pay, p, q, lo)
-    m_hi = _margin_at(pay, p, q, hi)
+    m_lo, m_hi = (
+        translucent_eu_cm(pay, t) - translucent_eu_sm(pay, t)
+        for t in (TranslucencyParams(p=p, q=q, r=r) for r in (0.0, 1.0))
+    )
     if m_lo == 0.0 or m_hi == 0.0 or (m_lo > 0.0) == (m_hi > 0.0):
         return None
-    while hi - lo > _BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        m_mid = _margin_at(pay, p, q, mid)
-        if m_mid == 0.0:
-            return mid
-        if (m_mid > 0.0) == (m_lo > 0.0):
-            lo, m_lo = mid, m_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # The margin at r = 0 is -q*v_noncoop <= 0, so the sign change puts
+    # p*(v_coop - v_noncoop) above q*(1 - v_noncoop): a positive denominator.
+    v_nc = pay.v_noncoop
+    return q * v_nc / (p * (pay.v_coop - v_nc) - q * (1.0 - 2.0 * v_nc))

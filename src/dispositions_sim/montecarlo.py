@@ -27,6 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
+import numpy as np
+
 from .core import Disposition, OutcomeClass
 from .encounter import EncounterConfig, RngStream, resolve_encounter
 
@@ -56,31 +58,6 @@ class TrialReport:
     outcome_histogram: dict[OutcomeClass, int]
 
 
-@dataclass(frozen=True)
-class _BlockCounts:
-    """Focal outcome counts for one block of trials."""
-
-    trials: int
-    cm_coop: int
-    cm_exploited: int
-    cm_noncoop: int
-    sm_defect: int
-    sm_noncoop: int
-
-    def merged(self, other: "_BlockCounts") -> "_BlockCounts":
-        return _BlockCounts(
-            trials=self.trials + other.trials,
-            cm_coop=self.cm_coop + other.cm_coop,
-            cm_exploited=self.cm_exploited + other.cm_exploited,
-            cm_noncoop=self.cm_noncoop + other.cm_noncoop,
-            sm_defect=self.sm_defect + other.sm_defect,
-            sm_noncoop=self.sm_noncoop + other.sm_noncoop,
-        )
-
-
-_EMPTY_COUNTS = _BlockCounts(0, 0, 0, 0, 0, 0)
-
-
 def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, RngStream]:
     """The (partner, constrained-focal, straightforward-focal) streams of a block."""
     base = 3 * block_index
@@ -91,8 +68,8 @@ def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, Rn
     )
 
 
-def _run_block(cfg: EncounterConfig, seed: int, block_index: int, trials: int) -> _BlockCounts:
-    """Vectorized equivalent of resolving each trial's two encounters.
+def _run_block(cfg: EncounterConfig, seed: int, block_index: int, trials: int) -> np.ndarray:
+    """The block's ``(cm_coop, cm_exploited, sm_defect)`` counts, vectorized.
 
     Consumes exactly one uniform per encounter from the per-purpose
     streams, matching the scalar ``resolve_encounter`` draw discipline,
@@ -106,18 +83,11 @@ def _run_block(cfg: EncounterConfig, seed: int, block_index: int, trials: int) -
     u_cm_focal = cm_rng.uniforms(trials)
     u_sm_focal = sm_rng.uniforms(trials)
 
-    cm_coop = int((partner_is_cm & (u_cm_focal < p)).sum())
-    cm_exploited = int((~partner_is_cm & (u_cm_focal < q)).sum())
-    sm_defect = int((partner_is_cm & (u_sm_focal < q)).sum())
-
-    return _BlockCounts(
-        trials=trials,
-        cm_coop=cm_coop,
-        cm_exploited=cm_exploited,
-        cm_noncoop=trials - cm_coop - cm_exploited,
-        sm_defect=sm_defect,
-        sm_noncoop=trials - sm_defect,
-    )
+    return np.array([
+        (partner_is_cm & (u_cm_focal < p)).sum(),
+        (~partner_is_cm & (u_cm_focal < q)).sum(),
+        (partner_is_cm & (u_sm_focal < q)).sum(),
+    ])
 
 
 def run_trial(
@@ -211,26 +181,28 @@ def estimate_eus(
     else:
         results = [_run_block(cfg, seed, index, trials) for index, trials in blocks]
 
-    totals = _EMPTY_COUNTS
-    for block in results:
-        totals = totals.merged(block)
+    # Each trial has one outcome per focal disposition, so non-cooperation
+    # takes whatever trials the other outcomes leave.
+    cm_coop, cm_exploited, sm_defect = sum(results).tolist()
+    cm_noncoop = n_trials - cm_coop - cm_exploited
+    sm_noncoop = n_trials - sm_defect
 
     v_nc = cfg.payoffs.v_noncoop
     v_c = cfg.payoffs.v_coop
     mean_cm, stderr_cm = _mean_and_stderr(
-        {v_nc: totals.cm_noncoop, v_c: totals.cm_coop, 0.0: totals.cm_exploited},
+        {v_nc: cm_noncoop, v_c: cm_coop, 0.0: cm_exploited},
         n_trials,
     )
     mean_sm, stderr_sm = _mean_and_stderr(
-        {v_nc: totals.sm_noncoop, 1.0: totals.sm_defect},
+        {v_nc: sm_noncoop, 1.0: sm_defect},
         n_trials,
     )
 
     histogram = {
-        OutcomeClass.NON_COOPERATION: totals.cm_noncoop + totals.sm_noncoop,
-        OutcomeClass.COOPERATION: totals.cm_coop,
-        OutcomeClass.DEFECTION: totals.sm_defect,
-        OutcomeClass.EXPLOITATION: totals.cm_exploited,
+        OutcomeClass.NON_COOPERATION: cm_noncoop + sm_noncoop,
+        OutcomeClass.COOPERATION: cm_coop,
+        OutcomeClass.DEFECTION: sm_defect,
+        OutcomeClass.EXPLOITATION: cm_exploited,
     }
 
     return TrialReport(

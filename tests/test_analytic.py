@@ -178,6 +178,10 @@ class TestCriticalRatio:
         pay = TranslucentPayoffs(0.5, 0.75)
         assert critical_ratio(pay, 0.0) == math.inf
 
+    def test_underflowing_denominator_maps_to_infinity(self):
+        # 5e-324 * 0.25 rounds to 0, so the division would raise.
+        assert critical_ratio(TranslucentPayoffs(0.5, 0.75), 5e-324) == math.inf
+
     @given(pay=translucent_payoffs())
     @settings(deadline=None, max_examples=200)
     def test_strictly_decreasing_in_r(self, pay):
@@ -267,3 +271,20 @@ def test_eucomparison_factory_classifies_tie_as_not_rational():
     comparison = EuComparison.of(eu_sm=0.5, eu_cm=0.5)
     assert comparison.margin == 0.0
     assert not comparison.cm_is_rational
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("p", lambda v: TranslucencyParams(p=v, q=0.5, r=0.5)),
+        ("r", lambda v: TranslucencyParams(p=0.5, q=0.5, r=v)),
+        ("p", lambda v: argument1_eus(TransparentPayoffs(0.2, 0.6, 0.9), v)),
+        ("p", lambda v: argument2_eus(TransparentPayoffs(0.2, 0.6, 0.9), v)),
+        ("r", lambda v: critical_ratio(TranslucentPayoffs(0.5, 0.75), v)),
+    ],
+)
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+def test_every_probability_check_reports_alike(name, call, bad):
+    with pytest.raises(InvalidProbability) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must lie in [0, 1], got {bad!r}"

@@ -1,15 +1,30 @@
 """Command-line interface: contracts, exit codes, and golden outputs."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dispositions_sim.cli import SWEEP_HEADER, main
 
 REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
+
+# A valid config file per subcommand.
+COMMAND_CONFIGS = {
+    "analytic": {"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "r": 0.5},
+    "simulate": {"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "r": 0.5, "n": 100},
+    "sweep": {"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "axis": ["r=0:1:3"]},
+    "evolve": {"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "r0": 0.5, "generations": 3},
+}
 
 
 def run_cli(argv, capsys):
@@ -271,8 +286,8 @@ class TestEvolveCommand:
         assert code == 0
         lines = out.splitlines()
         assert lines[-1].startswith("# ")
-        threshold = json.loads(lines[-1][2:])["interior_threshold"]
-        assert threshold == pytest.approx(0.25, abs=1e-9)
+        # The closed-form root is exact here (2*0.1/0.8 has no rounding).
+        assert lines[-1] == '# {"interior_threshold": 0.25}'
         shares = [float(l.split(",")[1]) for l in lines[1:-1]]
         assert all(a < b for a, b in zip(shares, shares[1:]))
 
@@ -339,12 +354,130 @@ class TestConfigFile:
         assert err.startswith('error: config key "axis" must be a list')
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("analytic", "vnc", "abc"),
+            ("evolve", "generations", 2.7),
+            ("simulate", "n", 2.5),
+            ("simulate", "seed", 1.5),
+            ("simulate", "n", "1e3"),  # read as --n 1e3 would be: not an int
+            ("evolve", "generations", float("inf")),
+            ("analytic", "p", True),
+            ("simulate", "seed", False),
+            ("analytic", "q", [0.1]),
+            ("analytic", "r", {"value": 0.5}),
+            pytest.param("analytic", "vc", 10**400, id="analytic-vc-huge_int"),
+        ],
+    )
+    def test_malformed_config_value_exits_2(self, command, key, value, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**COMMAND_CONFIGS[command], key: value}))
+        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f'error: config key "{key}" must be ')
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, config_values, flags",
+        [
+            ("analytic", {"vnc": "0.5", "r": 1}, ["--vnc", "0.5", "--r", "1"]),
+            ("simulate", {"n": 1e4, "seed": 7.0}, ["--n", "10000", "--seed", "7"]),
+            ("simulate", {"n": "300", "seed": None}, ["--n", "300", "--seed", "0"]),
+            ("evolve", {"generations": 3.0, "r0": "0.5"}, ["--generations", "3", "--r0", "0.5"]),
+        ],
+    )
+    def test_config_values_read_like_flags(
+        self, command, config_values, flags, tmp_path, capsys
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**COMMAND_CONFIGS[command], **config_values}))
+        from_config = run_cli([command, "--config", str(config)], capsys)
+        from_flags = run_cli([command, "--config", str(config), *flags], capsys)
+        assert from_config == from_flags
+        assert from_config[0] == 0
+
+    def test_null_config_value_counts_as_absent(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**COMMAND_CONFIGS["analytic"], "q": None}))
+        code, out, err = run_cli(["analytic", "--config", str(config)], capsys)
+        assert (code, out, err) == (2, "", "error: missing required parameter --q\n")
+
+    @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000, b'{"vnc": 0.5'])
+    def test_unreadable_config_exits_2(self, content, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        code, out, err = run_cli(["analytic", "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
     def test_missing_config_file_exits_2(self, capsys):
         code, _, err = run_cli(
             ["analytic", "--config", "/nonexistent.json"], capsys
         )
         assert code == 2
         assert "config" in err
+
+
+# Values small enough that every accepted config runs in milliseconds.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=2000),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-2.0, max_value=2000.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 2.5, 10**400]),
+    st.sampled_from(["0.5", "1", "-1", "2.5", "1e3", "abc", "", " 0.25 ", "nan"]),
+    st.text(max_size=6),
+)
+json_values = st.one_of(
+    json_scalars,
+    st.lists(st.one_of(json_scalars, st.sampled_from(["r=0:1:3", "p=0:1"])), max_size=3),
+    st.dictionaries(st.text(max_size=3), json_scalars, max_size=2),
+)
+
+
+@st.composite
+def config_files(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_CONFIGS)))
+    config = dict(COMMAND_CONFIGS[command])
+    for key in draw(st.sets(st.sampled_from(sorted(config)), min_size=1, max_size=2)):
+        config[key] = draw(json_values)
+    return command, config
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(config_files())
+def test_any_config_file_exits_0_or_2_with_one_error_line(case):
+    command, config = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
+        assert not err.getvalue().startswith("internal error")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("analytic", ["vnc", "vc", "p", "q", "r", "config"]),
+        ("simulate", ["vnc", "vc", "p", "q", "r", "config", "n", "seed"]),
+        ("sweep", ["vnc", "vc", "p", "q", "r", "config", "axis"]),
+        ("evolve", ["vnc", "vc", "p", "q", "r0", "config", "generations"]),
+    ],
+)
+def test_help_lists_flags_in_order(command, flags, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = re.findall(r"^ +--(\w+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == flags
 
 
 class TestBrokenPipe:

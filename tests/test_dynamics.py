@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dispositions_sim.analytic import (
     cm_rational,
@@ -13,7 +15,10 @@ from dispositions_sim.analytic import (
 )
 from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.dynamics import (
+    CONVERGENCE_TOL,
     DegenerateFitness,
+    Trajectory,
+    TrajectoryStep,
     _ratio_step,
     evolve,
     interior_threshold,
@@ -134,7 +139,59 @@ class TestEvolve:
             evolve(PAY, params(), 0)
 
 
+def reference_evolve(pay, t0, generations):
+    """The replicator loop evaluated step by step: ``replicator_step`` for the
+    update, then both closed forms for the record."""
+    r, params = t0.r, t0
+    steps = [TrajectoryStep(0, r, translucent_eu_cm(pay, t0), translucent_eu_sm(pay, t0))]
+    for generation in range(1, generations + 1):
+        r_next = replicator_step(pay, params)
+        converged = abs(r_next - r) < CONVERGENCE_TOL
+        r = r_next
+        params = TranslucencyParams(p=t0.p, q=t0.q, r=r)
+        steps.append(
+            TrajectoryStep(
+                generation, r, translucent_eu_cm(pay, params), translucent_eu_sm(pay, params)
+            )
+        )
+        if converged:
+            break
+    return Trajectory(steps=tuple(steps))
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def evolve_cases(draw):
+    v_nc = draw(st.floats(min_value=0.01, max_value=0.95))
+    pay = TranslucentPayoffs(v_nc, draw(st.floats(min_value=v_nc + 0.01, max_value=0.99)))
+    r0 = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit))
+    t0 = TranslucencyParams(p=draw(unit), q=draw(unit), r=r0)
+    return pay, t0, draw(st.integers(min_value=1, max_value=400))
+
+
+# No recognition leaves r fixed, so the run converges at generation 1.
+@example((PAY, TranslucencyParams(p=0.0, q=0.0, r=0.37), 50))
+@example((PAY, TranslucencyParams(p=0.8, q=0.1, r=0.0), 50))
+@example((PAY, TranslucencyParams(p=0.8, q=0.1, r=1.0), 50))
+@settings(max_examples=150, deadline=None)
+@given(evolve_cases())
+def test_evolve_matches_reference_loop(case):
+    pay, t0, generations = case
+    assert evolve(pay, t0, generations) == reference_evolve(pay, t0, generations)
+
+
+def test_reference_loop_covers_early_convergence():
+    trajectory = reference_evolve(PAY, params(p=0.8, q=0.1, r=0.5), 400)
+    assert len(trajectory.steps) < 401
+    assert evolve(PAY, params(p=0.8, q=0.1, r=0.5), 400) == trajectory
+
+
 class TestInteriorThreshold:
+    def test_reference_root_is_exact(self):
+        assert interior_threshold(PAY, p=0.8, q=0.1) == 0.25
+
     def test_reference_root_against_rational_oracle(self):
         """The EU margin is linear in r; its root solves q*v_nc = r*slope."""
         slope = (

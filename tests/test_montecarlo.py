@@ -93,6 +93,8 @@ class TestScalarEquivalence:
         report = estimate_eus(cfg, 3 * 512 + 123, seed=11)
         reference = reference_report(cfg, 3 * 512 + 123, seed=11)
         assert report.outcome_histogram == reference.outcome_histogram
+        # Summed block counts reach callers (and json.dumps) as Python ints.
+        assert {type(count) for count in report.outcome_histogram.values()} == {int}
         assert report.mean_payoff_cm == pytest.approx(reference.mean_payoff_cm, abs=1e-12)
 
 

@@ -141,8 +141,11 @@ def grids(draw):
 
 
 # A subnormal r overflows the critical ratio's second term to inf; numpy
-# must do so as quietly as float division does.
+# must do so as quietly as float division does. The smallest one makes the
+# denominator underflow to 0, where the scalar form must give inf as well.
 @example(({"q": 0.0, "r": 2.2250738585e-313, "v_noncoop": 0.25, "v_coop": 0.75},
+          [("p", 0.0, 0.0, 1)]))
+@example(({"q": 0.0, "r": 5e-324, "v_noncoop": 0.25, "v_coop": 0.75},
           [("p", 0.0, 0.0, 1)]))
 @settings(max_examples=150, deadline=None)
 @given(grids())
