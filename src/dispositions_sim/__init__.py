@@ -15,6 +15,7 @@ from .analytic import (
 from .core import (
     Disposition,
     EncounterOutcome,
+    InvalidInput,
     InvalidProbability,
     NonFiniteValue,
     OrderingViolation,
@@ -45,6 +46,7 @@ __all__ = [
     "TranslucentPayoffs",
     "TranslucencyParams",
     "EncounterOutcome",
+    "InvalidInput",
     "OrderingViolation",
     "NonFiniteValue",
     "InvalidProbability",

@@ -26,14 +26,13 @@ flags take precedence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -45,16 +44,14 @@ from .analytic import (
     translucent_eu_sm,
 )
 from .core import (
-    InvalidProbability,
-    NonFiniteValue,
-    OrderingViolation,
+    InvalidInput,
     TranslucencyParams,
     TranslucentPayoffs,
     translucent_point_valid,
 )
 from .dynamics import evolve, interior_threshold
 from .encounter import EncounterConfig
-from .montecarlo import InvalidTrialCount, estimate_eus, resolve_workers
+from .montecarlo import estimate_eus
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
@@ -62,10 +59,6 @@ PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 SWEEP_CHUNK_ROWS = 4096
 
 _FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
-
-_VALIDATION_ERRORS = (
-    OrderingViolation, NonFiniteValue, InvalidProbability, InvalidTrialCount
-)
 
 
 # Every flag's argparse keywords. The type reads the command line and, through
@@ -91,15 +84,18 @@ FLAGS: dict[str, dict[str, Any]] = {
 _EXPECTED = {float: "a number", int: "an integer", list: "a list of strings"}
 
 
-class CliError(Exception):
-    """Usage or validation problem; reported on stderr with exit code 2."""
+class Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as ``InvalidInput``."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidInput(message)
 
 
 class Settings(ChainMap):
     """Flag values from the command line, then from the config file."""
 
     def __missing__(self, flag: str) -> Any:
-        raise CliError(f"missing required parameter --{flag}")
+        raise InvalidInput(f"missing required parameter --{flag}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def _config_value(flag: str, value: Any) -> Any:
                 return kind(value)
     except (ValueError, OverflowError):
         pass
-    raise CliError(f'config key "{flag}" must be {_EXPECTED[kind]}, got {value!r}')
+    raise InvalidInput(f'config key "{flag}" must be {_EXPECTED[kind]}, got {value!r}')
 
 
 def _settings(args: argparse.Namespace) -> Settings:
@@ -174,9 +170,9 @@ def _settings(args: argparse.Namespace) -> Settings:
         with open(args.config, encoding="utf-8") as handle:
             config = json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:
-        raise CliError(f"cannot read config file {args.config}: {exc}") from exc
+        raise InvalidInput(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(config, dict):
-        raise CliError(f"config file {args.config} must contain a JSON object")
+        raise InvalidInput(f"config file {args.config} must contain a JSON object")
     # A flag given on the command line, --config included, is not read here.
     defaults = {
         flag: _config_value(flag, config[flag])
@@ -204,16 +200,8 @@ def cmd_analytic(settings: Settings) -> int:
 def cmd_simulate(settings: Settings) -> int:
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])
-    n_trials = settings["n"]
     seed = settings.get("seed", 0)
-    if seed < 0:
-        raise CliError(f"seed must be >= 0, got {seed}")
-    try:
-        workers = resolve_workers()
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-    report = estimate_eus(EncounterConfig(payoffs=pay, params=t), n_trials, seed, workers)
+    report = estimate_eus(EncounterConfig(payoffs=pay, params=t), settings["n"], seed)
     eu_cm = translucent_eu_cm(pay, t)
     eu_sm = translucent_eu_sm(pay, t)
     record = {
@@ -242,34 +230,41 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
         start_s, stop_s, count_s = rest.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError:
-        raise CliError(
+        raise InvalidInput(
             f"bad axis spec {spec!r}, expected NAME=START:STOP:COUNT"
         ) from None
     name = name.strip()
     if name not in PARAM_NAMES:
-        raise CliError(
+        raise InvalidInput(
             f"unknown sweep axis {name!r}, expected one of {', '.join(PARAM_NAMES)}"
         )
     if count < 1:
-        raise CliError(f"axis {name!r} needs a positive point count")
+        raise InvalidInput(f"axis {name!r} needs a positive point count")
     # One point is START itself, whatever STOP is (linspace turns -0.0 into 0.0).
-    return name, np.array([start]) if count == 1 else np.linspace(start, stop, count)
+    # A non-finite bound gives non-finite points, which grid validation rejects.
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return name, np.linspace(start, stop, count) if count > 1 else np.array([start])
+    except (MemoryError, ValueError):  # numpy cannot hold COUNT doubles
+        raise InvalidInput(f"axis {name!r} has too many points: {count}") from None
 
 
 def build_sweep_grid(settings: Settings) -> SweepGrid:
     axis_specs = settings.get("axis", [])
     if not axis_specs:
-        raise CliError("sweep needs at least one --axis NAME=START:STOP:COUNT")
+        raise InvalidInput("sweep needs at least one --axis NAME=START:STOP:COUNT")
     axes = dict(map(_parse_axis, axis_specs))
     if len(axes) != len(axis_specs):
-        raise CliError("each parameter may be swept by at most one axis")
+        raise InvalidInput("each parameter may be swept by at most one axis")
+    if math.prod(map(len, axes.values())) > np.iinfo(np.intp).max:
+        raise InvalidInput("sweep grid has more rows than numpy can index")
 
     fixed: dict[str, float] = {}
     for param in PARAM_NAMES:
         flag = _FLAG_FOR_PARAM[param]
         if param in axes:
             if flag in settings.maps[0]:
-                raise CliError(
+                raise InvalidInput(
                     f"parameter {param} is swept by an axis; drop the --{flag} flag"
                 )
             continue
@@ -290,9 +285,9 @@ def cmd_sweep(settings: Settings) -> int:
             try:
                 TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
                 TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
-            except _VALIDATION_ERRORS as exc:
+            except InvalidInput as exc:
                 values = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
-                raise CliError(f"invalid grid point ({values}): {exc}") from exc
+                raise InvalidInput(f"invalid grid point ({values}): {exc}") from exc
 
     sys.stdout.write(SWEEP_HEADER + "\n")
     for columns in grid.chunks():
@@ -307,25 +302,17 @@ def cmd_sweep(settings: Settings) -> int:
 def cmd_evolve(settings: Settings) -> int:
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t0 = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r0"])
-    generations = settings["generations"]
-    if generations < 1:
-        raise CliError(f"generations must be >= 1, got {generations}")
-
-    trajectory = evolve(pay, t0, generations)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["generation", "r", "eu_cm", "eu_sm"])
-    for step in trajectory.steps:
-        writer.writerow(
-            [str(step.generation), _fmt(step.r), _fmt(step.eu_cm), _fmt(step.eu_sm)]
-        )
+    steps = evolve(pay, t0, settings["generations"]).steps
+    rows = [(str(s.generation), _fmt(s.r), _fmt(s.eu_cm), _fmt(s.eu_sm)) for s in steps]
+    sys.stdout.write("\n".join(["generation,r,eu_cm,eu_sm", *map(",".join, rows)]) + "\n")
     threshold = interior_threshold(pay, t0.p, t0.q)
     if threshold is not None:
         print("# " + json.dumps({"interior_threshold": threshold}))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> Parser:
+    parser = Parser(
         prog="dispositions-sim",
         description=(
             "Expected-utility analysis, Monte Carlo validation, parameter "
@@ -352,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.handler(_settings(args))
         sys.stdout.flush()
         return code
@@ -363,11 +349,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # point stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _VALIDATION_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except InvalidInput as exc:
+        # A subclass names its model check; one line even if an input holds "\n".
+        label = "error" if type(exc) is InvalidInput else type(exc).__name__
+        print(f"{label}: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

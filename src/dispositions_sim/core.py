@@ -21,15 +21,19 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class OrderingViolation(ValueError):
+class InvalidInput(ValueError):
+    """The caller passed a bad value; the base of every argument check."""
+
+
+class OrderingViolation(InvalidInput):
     """Payoff values do not respect the required strict ordering."""
 
 
-class NonFiniteValue(ValueError):
+class NonFiniteValue(InvalidInput):
     """A payoff or probability is NaN or infinite."""
 
 
-class InvalidProbability(ValueError):
+class InvalidProbability(InvalidInput):
     """A probability lies outside the closed interval [0, 1]."""
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analytic import translucent_eu_cm, translucent_eu_sm
-from .core import TranslucencyParams, TranslucentPayoffs
+from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs
 
 CONVERGENCE_TOL = 1e-12
 
@@ -85,11 +85,11 @@ def evolve(
     generation, stopping early once |r' - r| < CONVERGENCE_TOL.
 
     Raises:
-        ValueError: if generations < 1.
+        InvalidInput: if generations < 1.
         DegenerateFitness: propagated from the update.
     """
     if generations < 1:
-        raise ValueError(f"generations must be >= 1, got {generations}")
+        raise InvalidInput(f"generations must be >= 1, got {generations}")
 
     def record(generation: int, r: float) -> TrajectoryStep:
         t = TranslucencyParams(p=t0.p, q=t0.q, r=r)

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     Disposition,
     EncounterOutcome,
+    InvalidInput,
     OutcomeClass,
     TranslucencyParams,
     TranslucentPayoffs,
@@ -42,7 +43,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         if seed < 0 or stream_id < 0:
-            raise ValueError(
+            raise InvalidInput(
                 f"seed and stream_id must be non-negative, got {seed}, {stream_id}"
             )
         self.seed = seed

@@ -29,7 +29,7 @@ from math import sqrt
 
 import numpy as np
 
-from .core import Disposition, OutcomeClass
+from .core import Disposition, InvalidInput, OutcomeClass
 from .encounter import EncounterConfig, RngStream, resolve_encounter
 
 BLOCK_TRIALS = 65_536
@@ -37,7 +37,7 @@ BLOCK_TRIALS = 65_536
 _THREADS_ENV_VAR = "DISPOSITIONS_SIM_THREADS"
 
 
-class InvalidTrialCount(ValueError):
+class InvalidTrialCount(InvalidInput):
     """The requested number of trials is not a positive integer."""
 
 
@@ -120,11 +120,11 @@ def resolve_workers(workers: int | None = None) -> int:
         try:
             workers = int(raw)
         except ValueError:
-            raise ValueError(
+            raise InvalidInput(
                 f"{_THREADS_ENV_VAR} must be an integer, got {raw!r}"
             ) from None
     if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
+        raise InvalidInput(f"worker count must be >= 0, got {workers}")
     if workers == 0:
         return os.cpu_count() or 1
     return workers
@@ -163,9 +163,12 @@ def estimate_eus(
 
     Raises:
         InvalidTrialCount: if n_trials < 1.
+        InvalidInput: if seed < 0 or the worker count is malformed or < 0.
     """
     if n_trials < 1:
         raise InvalidTrialCount(f"n_trials must be >= 1, got {n_trials}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
 
     blocks = [
         (index, min(BLOCK_TRIALS, n_trials - start))
