@@ -53,12 +53,15 @@ class Trajectory:
 
 
 def _ratio_step(r: float, eu_cm: float, eu_sm: float) -> float:
-    fitness_cm = r * eu_cm
-    fitness_sm = (1.0 - r) * eu_sm
+    # Scaling both EUs (at most 1) by 2**1000 is exact and cancels in the ratio:
+    # no bit changes unless a subnormal v_noncoop would round both to zero.
+    fitness_cm = r * (eu_cm * 2.0**1000)
+    fitness_sm = (1.0 - r) * (eu_sm * 2.0**1000)
     total = fitness_cm + fitness_sm
     if total == 0.0:
-        # Unreachable through valid payoff types (EU_sm >= v_noncoop > 0
-        # whenever r < 1, and EU_cm > 0 whenever r > 0); kept as a guard.
+        # Unreachable through valid payoff types: EU_sm >= v_noncoop >= 2**-1074
+        # and 1 - r >= 2**-53 keep fitness_sm > 0 whenever r < 1, and
+        # EU_cm >= v_noncoop at r = 1; kept as a guard for direct calls.
         raise DegenerateFitness(
             f"zero total fitness at r={r!r} (eu_cm={eu_cm!r}, eu_sm={eu_sm!r})"
         )

@@ -56,9 +56,13 @@ class RngStream:
         """Next uniform draw in [0, 1)."""
         return float(self._gen.random())
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` uniform draws; identical to ``n`` calls of uniform()."""
-        return self._gen.random(n)
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next ``n`` uniform draws; identical to ``n`` calls of uniform().
+
+        With ``out``, the draws fill ``out[:n]`` and that view is returned."""
+        if out is None:
+            return self._gen.random(n)
+        return self._gen.random(out=out[:n])
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

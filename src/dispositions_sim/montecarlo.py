@@ -17,12 +17,16 @@ recovered from the counts, which keeps degenerate configurations (for
 example p = q = 0) exact.
 
 Worker count is taken from the DISPOSITIONS_SIM_THREADS environment
-variable when not passed explicitly; 0 or unset means automatic.
+variable when not passed explicitly; 0 or unset means automatic. The
+calling thread and W - 1 helper threads claim blocks from one shared
+counter, each drawing into its own reused buffer, so memory grows with
+the worker count and not with the number of trials.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
@@ -68,25 +72,27 @@ def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, Rn
     )
 
 
-def _run_block(cfg: EncounterConfig, seed: int, block_index: int, trials: int) -> np.ndarray:
+def _run_block(
+    cfg: EncounterConfig, seed: int, block_index: int, trials: int, draws: np.ndarray
+) -> np.ndarray:
     """The block's ``(cm_coop, cm_exploited, sm_defect)`` counts, vectorized.
 
     Consumes exactly one uniform per encounter from the per-purpose
     streams, matching the scalar ``resolve_encounter`` draw discipline,
     so the counts equal those of a trial-by-trial loop over the same
-    streams (asserted by the test suite).
+    streams (asserted by the test suite). The draws overwrite the first
+    ``trials`` columns of the ``(3, BLOCK_TRIALS)`` buffer ``draws``.
     """
-    partner_rng, cm_rng, sm_rng = block_streams(seed, block_index)
+    u_partner, u_cm_focal, u_sm_focal = (
+        rng.uniforms(trials, out) for rng, out in zip(block_streams(seed, block_index), draws)
+    )
     p, q, r = cfg.params.p, cfg.params.q, cfg.params.r
 
-    partner_is_cm = partner_rng.uniforms(trials) < r
-    u_cm_focal = cm_rng.uniforms(trials)
-    u_sm_focal = sm_rng.uniforms(trials)
-
+    partner_is_cm = u_partner < r
     return np.array([
-        (partner_is_cm & (u_cm_focal < p)).sum(),
-        (~partner_is_cm & (u_cm_focal < q)).sum(),
-        (partner_is_cm & (u_sm_focal < q)).sum(),
+        np.count_nonzero(partner_is_cm & (u_cm_focal < p)),
+        np.count_nonzero(~partner_is_cm & (u_cm_focal < q)),
+        np.count_nonzero(partner_is_cm & (u_sm_focal < q)),
     ])
 
 
@@ -162,31 +168,50 @@ def estimate_eus(
     merge associatively, so the worker count never changes the report.
 
     Raises:
-        InvalidTrialCount: if n_trials < 1.
+        InvalidTrialCount: if n_trials < 1 or n_trials > 2**63 - 1.
         InvalidInput: if seed < 0 or the worker count is malformed or < 0.
     """
     if n_trials < 1:
         raise InvalidTrialCount(f"n_trials must be >= 1, got {n_trials}")
+    if n_trials > np.iinfo(np.int64).max:  # the outcome counts are int64
+        raise InvalidTrialCount(f"n_trials must be <= {np.iinfo(np.int64).max}, got {n_trials}")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
 
-    blocks = [
-        (index, min(BLOCK_TRIALS, n_trials - start))
-        for index, start in enumerate(range(0, n_trials, BLOCK_TRIALS))
-    ]
+    n_blocks = -(-n_trials // BLOCK_TRIALS)
+    n_workers = min(resolve_workers(workers), n_blocks)
+    unclaimed = iter(range(n_blocks))
+    claim_lock = threading.Lock()
 
-    n_workers = min(resolve_workers(workers), len(blocks))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(lambda b: _run_block(cfg, seed, b[0], b[1]), blocks)
-            )
-    else:
-        results = [_run_block(cfg, seed, index, trials) for index, trials in blocks]
+    def drain() -> np.ndarray:
+        """Run unclaimed blocks until none are left; their summed counts."""
+        nonlocal unclaimed
+        draws = np.empty((3, BLOCK_TRIALS))
+        counts = np.zeros(3, dtype=np.int64)
+        try:
+            while True:
+                with claim_lock:
+                    index = next(unclaimed, None)
+                if index is None:
+                    return counts
+                trials = min(BLOCK_TRIALS, n_trials - index * BLOCK_TRIALS)
+                counts += _run_block(cfg, seed, index, trials, draws)
+        finally:
+            # A worker that fails or is interrupted leaves nothing to claim,
+            # so the others stop after their current block.
+            with claim_lock:
+                unclaimed = iter(())
+
+    # The calling thread drains too; with one worker no thread starts.
+    with ThreadPoolExecutor(max(n_workers - 1, 1)) as pool:
+        helpers = [pool.submit(drain) for _ in range(n_workers - 1)]
+        counts = drain()
+        for helper in helpers:
+            counts += helper.result()
 
     # Each trial has one outcome per focal disposition, so non-cooperation
     # takes whatever trials the other outcomes leave.
-    cm_coop, cm_exploited, sm_defect = sum(results).tolist()
+    cm_coop, cm_exploited, sm_defect = counts.tolist()
     cm_noncoop = n_trials - cm_coop - cm_exploited
     sm_noncoop = n_trials - sm_defect
 

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dispositions_sim.cli import SWEEP_HEADER, main
@@ -312,6 +312,17 @@ class TestEvolveCommand:
         )
         assert code == 2
 
+    def test_subnormal_payoff_keeps_the_share(self, capsys):
+        """Both fitnesses of a subnormal v_noncoop no longer underflow to zero."""
+        code, out, err = run_cli(
+            ["evolve", "--vnc", "5e-324", "--vc", "0.5", "--p", "0", "--q", "0",
+             "--r0", "0.5", "--generations", "3"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert rows and all(row.split(",")[1] == "0.5" for row in rows)
+
 
 class TestConfigFile:
     def test_config_supplies_all_parameters(self, tmp_path, capsys):
@@ -450,6 +461,7 @@ def config_files(draw):
     max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(config_files())
+@example(("simulate", {**COMMAND_CONFIGS["simulate"], "n": 10**400}))
 def test_any_config_file_exits_0_or_2_with_one_error_line(case):
     command, config = case
     out, err = io.StringIO(), io.StringIO()

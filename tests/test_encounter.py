@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,16 @@ class TestRngStream:
         batched = RngStream(9, 3)
         singles = [scalar.uniform() for _ in range(64)]
         assert batched.uniforms(64).tolist() == singles
+        # Into a buffer: the draws fill out[:n] and continue the stream;
+        # the rest of the buffer is left untouched.
+        buffered = RngStream(9, 3)
+        out = np.full(48, -1.0)
+        first = buffered.uniforms(48, out)
+        assert np.shares_memory(first, out)
+        assert first.tolist() == singles[:48]
+        second = buffered.uniforms(16, out)
+        assert second.tolist() == singles[48:]
+        assert out[16:].tolist() == singles[16:48]
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,9 @@ SINGLE_FAULTS = {
     "trial-count": (
         ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "0"], None,
         "InvalidTrialCount: n_trials must be >= 1, got 0"),
+    "trial-count-past-int64": (
+        ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", str(2**63)], None,
+        f"InvalidTrialCount: n_trials must be <= {2**63 - 1}, got {2**63}"),
     "seed": (
         ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10", "--seed", "-1"], None,
         "error: seed must be >= 0, got -1"),

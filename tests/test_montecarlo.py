@@ -1,6 +1,9 @@
 """Monte Carlo estimator: scalar-path equivalence, determinism, and
 agreement with the closed forms it exists to check."""
 
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -140,6 +143,66 @@ class TestDeterminism:
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "lots")
         with pytest.raises(ValueError):
             estimate_eus(make_config(), 10, seed=0)
+
+
+def record_blocks(monkeypatch, fail_at=None):
+    """Wrap ``block_streams`` to log each block run as (index, thread id);
+    the block ``fail_at`` raises instead of running."""
+    runs = []
+    original = montecarlo.block_streams
+
+    def recording(seed, block_index):
+        runs.append((block_index, threading.get_ident()))
+        if block_index == fail_at:
+            raise RuntimeError(f"block {block_index} failed")
+        return original(seed, block_index)
+
+    monkeypatch.setattr(montecarlo, "block_streams", recording)
+    return runs
+
+
+class TestDriver:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_block_runs_exactly_once(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        runs = record_blocks(monkeypatch)
+        # Frequent thread switches make a lost or doubled block claim likely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimate_eus(make_config(), 300 * 64 + 5, seed=2, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(index for index, _ in runs) == list(range(301))
+
+    def test_one_worker_runs_every_block_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        runs = record_blocks(monkeypatch)
+        estimate_eus(make_config(), 50 * 64, seed=2, workers=1)
+        assert len(runs) == 50
+        assert {thread for _, thread in runs} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failing_block_stops_the_other_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        runs = record_blocks(monkeypatch, fail_at=4)
+        with pytest.raises(RuntimeError, match="^block 4 failed$"):
+            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+        # Blocks 0-4, plus at most one more claimed by each other worker.
+        assert 5 <= len(runs) <= workers + 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_block_count(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        cfg = make_config()
+        estimate_eus(cfg, 1000 * 64, seed=0, workers=workers)
+        tracemalloc.start()
+        try:
+            estimate_eus(cfg, 1000 * 64, seed=1, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestOracleAgreement:
