@@ -174,7 +174,9 @@ def estimate_eus(
     if n_trials < 1:
         raise InvalidTrialCount(f"n_trials must be >= 1, got {n_trials}")
     if n_trials > np.iinfo(np.int64).max:  # the outcome counts are int64
-        raise InvalidTrialCount(f"n_trials must be <= {np.iinfo(np.int64).max}, got {n_trials}")
+        raise InvalidTrialCount(
+            f"n_trials must be <= {np.iinfo(np.int64).max}, got {n_trials}"
+        )
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
 
