@@ -23,8 +23,6 @@ from .core import (
     TranslucencyParams,
     TranslucentPayoffs,
     TransparentPayoffs,
-    validate_translucent,
-    validate_transparent,
 )
 from .dynamics import (
     DegenerateFitness,
@@ -50,8 +48,6 @@ __all__ = [
     "OrderingViolation",
     "NonFiniteValue",
     "InvalidProbability",
-    "validate_transparent",
-    "validate_translucent",
     "EuComparison",
     "argument1_eus",
     "argument2_eus",

@@ -31,7 +31,6 @@ import math
 import os
 import sys
 from collections import ChainMap
-from dataclasses import dataclass
 from typing import Any, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -96,27 +95,6 @@ class Settings(ChainMap):
 
     def __missing__(self, flag: str) -> Any:
         raise InvalidInput(f"missing required parameter --{flag}")
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Swept parameters' values in command-line order; the rest are fixed."""
-
-    axes: dict[str, np.ndarray]
-    fixed: dict[str, float]
-
-    def chunks(self) -> Iterator[dict[str, np.ndarray]]:
-        """Every parameter's column over chunks of ``SWEEP_CHUNK_ROWS`` rows,
-        in lexicographic order with the first-given axis outermost."""
-        shape = tuple(map(len, self.axes.values()))
-        n_rows = math.prod(shape)
-        for start in range(0, n_rows, SWEEP_CHUNK_ROWS):
-            rows = np.arange(start, min(start + SWEEP_CHUNK_ROWS, n_rows))
-            columns = {name: np.full(len(rows), v) for name, v in self.fixed.items()}
-            indices = np.unravel_index(rows, shape)
-            for (name, values), index in zip(self.axes.items(), indices):
-                columns[name] = values[index]
-            yield columns
 
 
 SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
@@ -249,7 +227,8 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
         raise InvalidInput(f"axis {name!r} has too many points: {count}") from None
 
 
-def build_sweep_grid(settings: Settings) -> SweepGrid:
+def build_sweep_grid(settings: Settings) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """The swept parameters' values in command-line order, and the others' values."""
     axis_specs = settings.get("axis", [])
     if not axis_specs:
         raise InvalidInput("sweep needs at least one --axis NAME=START:STOP:COUNT")
@@ -269,16 +248,32 @@ def build_sweep_grid(settings: Settings) -> SweepGrid:
                 )
             continue
         fixed[param] = settings[flag]
-    return SweepGrid(axes=axes, fixed=fixed)
+    return axes, fixed
+
+
+def sweep_chunks(
+    axes: dict[str, np.ndarray], fixed: dict[str, float]
+) -> Iterator[dict[str, np.ndarray]]:
+    """Every parameter's column over chunks of ``SWEEP_CHUNK_ROWS`` rows,
+    in lexicographic order with the first-given axis outermost."""
+    shape = tuple(map(len, axes.values()))
+    n_rows = math.prod(shape)
+    for start in range(0, n_rows, SWEEP_CHUNK_ROWS):
+        rows = np.arange(start, min(start + SWEEP_CHUNK_ROWS, n_rows))
+        columns = {name: np.full(len(rows), v) for name, v in fixed.items()}
+        indices = np.unravel_index(rows, shape)
+        for (name, values), index in zip(axes.items(), indices):
+            columns[name] = values[index]
+        yield columns
 
 
 def cmd_sweep(settings: Settings) -> int:
-    grid = build_sweep_grid(settings)
+    axes, fixed = build_sweep_grid(settings)
 
     # Validate the whole grid before emitting anything: a bad point must
     # fail the run, not cut the output short. The first bad point in row
     # order goes through the constructors, whose message names the fault.
-    for columns in grid.chunks():
+    for columns in sweep_chunks(axes, fixed):
         invalid = np.flatnonzero(~translucent_point_valid(**columns))
         if invalid.size:
             point = {name: float(columns[name][invalid[0]]) for name in PARAM_NAMES}
@@ -290,7 +285,7 @@ def cmd_sweep(settings: Settings) -> int:
                 raise InvalidInput(f"invalid grid point ({values}): {exc}") from exc
 
     sys.stdout.write(SWEEP_HEADER + "\n")
-    for columns in grid.chunks():
+    for columns in sweep_chunks(axes, fixed):
         *numbers, rational = translucent_columns(**columns)
         fields = [_fmt_column(columns[name]) for name in PARAM_NAMES]
         fields += [_fmt_column(column) for column in numbers]
@@ -357,7 +352,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -164,21 +164,3 @@ class EncounterOutcome:
     payoff_self: float
     payoff_other: float
 
-
-def validate_transparent(u: float, u1: float, u2: float) -> TransparentPayoffs:
-    """Construct ``TransparentPayoffs`` from the three raw levels.
-
-    Raises:
-        NonFiniteValue: if any value is NaN or infinite.
-        OrderingViolation: unless u < u1 < u2 strictly.
-    """
-    return TransparentPayoffs(u_both_defect=u, u_coop=u1, u_temptation=u2)
-
-
-def validate_translucent(v_nc: float, v_c: float) -> TranslucentPayoffs:
-    """Construct ``TranslucentPayoffs`` from the two free levels.
-
-    Raises:
-        OrderingViolation: unless 0 < v_nc < v_c < 1 strictly.
-    """
-    return TranslucentPayoffs(v_noncoop=v_nc, v_coop=v_c)

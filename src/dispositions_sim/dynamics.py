@@ -47,10 +47,6 @@ class Trajectory:
 
     steps: tuple[TrajectoryStep, ...]
 
-    @property
-    def final_r(self) -> float:
-        return self.steps[-1].r
-
 
 def _ratio_step(r: float, eu_cm: float, eu_sm: float) -> float:
     # Scaling both EUs (at most 1) by 2**1000 is exact and cancels in the ratio:

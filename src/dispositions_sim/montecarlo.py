@@ -185,9 +185,14 @@ def estimate_eus(
     unclaimed = iter(range(n_blocks))
     claim_lock = threading.Lock()
 
+    def stop() -> None:
+        """Leave nothing to claim, so every worker stops after its current block."""
+        nonlocal unclaimed
+        with claim_lock:
+            unclaimed = iter(())
+
     def drain() -> np.ndarray:
         """Run unclaimed blocks until none are left; their summed counts."""
-        nonlocal unclaimed
         draws = np.empty((3, BLOCK_TRIALS))
         counts = np.zeros(3, dtype=np.int64)
         try:
@@ -199,15 +204,16 @@ def estimate_eus(
                 trials = min(BLOCK_TRIALS, n_trials - index * BLOCK_TRIALS)
                 counts += _run_block(cfg, seed, index, trials, draws)
         finally:
-            # A worker that fails or is interrupted leaves nothing to claim,
-            # so the others stop after their current block.
-            with claim_lock:
-                unclaimed = iter(())
+            stop()  # a worker that fails or is interrupted stops the others
 
     # The calling thread drains too; with one worker no thread starts.
     with ThreadPoolExecutor(max(n_workers - 1, 1)) as pool:
-        helpers = [pool.submit(drain) for _ in range(n_workers - 1)]
-        counts = drain()
+        # A helper that fails to start stops those already started.
+        try:
+            helpers = [pool.submit(drain) for _ in range(n_workers - 1)]
+            counts = drain()
+        finally:
+            stop()
         for helper in helpers:
             counts += helper.result()
 

@@ -1,4 +1,5 @@
-"""Constructor validation and immutability of the domain types."""
+"""Constructor validation and immutability of the domain types, and the
+package's public names."""
 
 import dataclasses
 import math
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dispositions_sim
 from dispositions_sim.core import (
     Disposition,
     InvalidProbability,
@@ -16,33 +18,31 @@ from dispositions_sim.core import (
     TranslucencyParams,
     TranslucentPayoffs,
     TransparentPayoffs,
-    validate_translucent,
-    validate_transparent,
 )
 
 
 class TestTransparentPayoffs:
     def test_valid_ordering_accepted(self):
-        pay = validate_transparent(0.2, 0.6, 0.9)
+        pay = TransparentPayoffs(0.2, 0.6, 0.9)
         assert pay == TransparentPayoffs(0.2, 0.6, 0.9)
 
     def test_equal_values_rejected(self):
         with pytest.raises(OrderingViolation):
-            validate_transparent(0.6, 0.6, 0.9)
+            TransparentPayoffs(0.6, 0.6, 0.9)
 
     def test_reversed_order_rejected(self):
         with pytest.raises(OrderingViolation):
-            validate_transparent(0.9, 0.6, 0.2)
+            TransparentPayoffs(0.9, 0.6, 0.2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NonFiniteValue):
-            validate_transparent(bad, 0.6, 0.9)
+            TransparentPayoffs(bad, 0.6, 0.9)
         with pytest.raises(NonFiniteValue):
-            validate_transparent(0.2, 0.6, bad)
+            TransparentPayoffs(0.2, 0.6, bad)
 
     def test_frozen(self):
-        pay = validate_transparent(0.2, 0.6, 0.9)
+        pay = TransparentPayoffs(0.2, 0.6, 0.9)
         with pytest.raises(dataclasses.FrozenInstanceError):
             pay.u_coop = 0.7
 
@@ -55,31 +55,31 @@ class TestTransparentPayoffs:
     def test_accepts_exactly_the_strictly_ordered_triples(self, u, u1, u2):
         """Construction succeeds iff u < u1 < u2."""
         if u < u1 < u2:
-            assert validate_transparent(u, u1, u2).u_coop == u1
+            assert TransparentPayoffs(u, u1, u2).u_coop == u1
         else:
             with pytest.raises(OrderingViolation):
-                validate_transparent(u, u1, u2)
+                TransparentPayoffs(u, u1, u2)
 
 
 class TestTranslucentPayoffs:
     def test_valid_pair_accepted(self):
-        pay = validate_translucent(0.5, 0.75)
+        pay = TranslucentPayoffs(0.5, 0.75)
         assert (pay.v_noncoop, pay.v_coop) == (0.5, 0.75)
 
     def test_coop_at_defection_level_rejected(self):
         with pytest.raises(OrderingViolation):
-            validate_translucent(0.5, 1.0)
+            TranslucentPayoffs(0.5, 1.0)
 
     def test_noncoop_at_exploitation_level_rejected(self):
         with pytest.raises(OrderingViolation):
-            validate_translucent(0.0, 0.5)
+            TranslucentPayoffs(0.0, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(OrderingViolation):
-            validate_translucent(bad, 0.5)
+            TranslucentPayoffs(bad, 0.5)
         with pytest.raises(OrderingViolation):
-            validate_translucent(0.3, bad)
+            TranslucentPayoffs(0.3, bad)
 
     @given(
         v_nc=st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -89,10 +89,10 @@ class TestTranslucentPayoffs:
     def test_accepts_exactly_the_open_unit_interval_orderings(self, v_nc, v_c):
         """Construction succeeds iff 0 < v_nc < v_c < 1."""
         if 0.0 < v_nc < v_c < 1.0:
-            assert validate_translucent(v_nc, v_c).v_coop == v_c
+            assert TranslucentPayoffs(v_nc, v_c).v_coop == v_c
         else:
             with pytest.raises(OrderingViolation):
-                validate_translucent(v_nc, v_c)
+                TranslucentPayoffs(v_nc, v_c)
 
 
 class TestTranslucencyParams:
@@ -141,3 +141,42 @@ def test_outcome_class_has_exactly_four_variants():
         "DEFECTION",
         "EXPLOITATION",
     }
+
+
+def test_public_names_are_exactly_the_documented_surface():
+    """Adding or dropping a public name is a deliberate API change."""
+    assert set(dispositions_sim.__all__) == {
+        "Disposition",
+        "OutcomeClass",
+        "TransparentPayoffs",
+        "TranslucentPayoffs",
+        "TranslucencyParams",
+        "EncounterOutcome",
+        "InvalidInput",
+        "OrderingViolation",
+        "NonFiniteValue",
+        "InvalidProbability",
+        "EuComparison",
+        "argument1_eus",
+        "argument2_eus",
+        "translucent_eu_cm",
+        "translucent_eu_sm",
+        "critical_ratio",
+        "cm_rational",
+        "EncounterConfig",
+        "RngStream",
+        "resolve_encounter",
+        "TrialReport",
+        "InvalidTrialCount",
+        "estimate_eus",
+        "Trajectory",
+        "TrajectoryStep",
+        "DegenerateFitness",
+        "replicator_step",
+        "evolve",
+        "interior_threshold",
+        "__version__",
+    }
+    assert len(dispositions_sim.__all__) == 30
+    for name in dispositions_sim.__all__:
+        getattr(dispositions_sim, name)

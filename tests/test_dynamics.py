@@ -97,7 +97,7 @@ class TestEvolve:
             assert ratio > critical_ratio(PAY, step.r)
         shares = [step.r for step in trajectory.steps]
         assert all(a < b for a, b in zip(shares, shares[1:]))
-        assert trajectory.final_r > 0.999
+        assert trajectory.steps[-1].r > 0.999
 
     def test_recorded_eus_match_the_closed_forms(self):
         trajectory = evolve(PAY, params(), 5)

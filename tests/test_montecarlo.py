@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,6 +191,35 @@ class TestDriver:
             estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
         # Blocks 0-4, plus at most one more claimed by each other worker.
         assert 5 <= len(runs) <= workers + 4
+
+    def test_helper_that_fails_to_start_stops_the_others(self, monkeypatch):
+        """A submit that cannot start its thread (as when the process is out
+        of threads) stops the helpers already started."""
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        runs = record_blocks(monkeypatch)
+        released = threading.Event()
+
+        class SecondSubmitFails(ThreadPoolExecutor):
+            submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                SecondSubmitFails.submits += 1
+                if SecondSubmitFails.submits == 2:
+                    raise RuntimeError("can't start new thread")
+                # The started helper claims blocks only once the pool shuts
+                # down, after the error has left the body of its with block.
+                return super().submit(lambda: released.wait(60) and fn(*args, **kwargs))
+
+            def shutdown(self, *args, **kwargs):
+                released.set()
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SecondSubmitFails)
+        workers = 3  # the calling thread and one started helper: 2 threads
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+        assert SecondSubmitFails.submits == 2
+        assert len(runs) <= workers + 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_the_block_count(self, monkeypatch, workers):
