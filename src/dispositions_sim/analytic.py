@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     TranslucencyParams,
     TranslucentPayoffs,
@@ -107,18 +105,6 @@ def _eu_sm(v_noncoop, q, r):
 def _critical_ratio(v_noncoop, v_coop, r):
     gain = v_coop - v_noncoop
     return (1.0 - v_noncoop) / gain + ((1.0 - r) * v_noncoop) / (r * gain)
-
-
-def translucent_columns(v_noncoop, v_coop, p, q, r) -> tuple[np.ndarray, ...]:
-    """``eu_cm, eu_sm, margin, critical_ratio, cm_rational`` over arrays of valid
-    points, elementwise bit-identical to ``cm_rational`` and ``critical_ratio``."""
-    eu_cm = _eu_cm(v_noncoop, v_coop, p, q, r)
-    eu_sm = _eu_sm(v_noncoop, q, r)
-    margin = eu_cm - eu_sm
-    # A zero or subnormal r sends the second term to inf, as in float maths.
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.where(r == 0.0, np.inf, _critical_ratio(v_noncoop, v_coop, r))
-    return eu_cm, eu_sm, margin, ratio, margin > 0.0
 
 
 def translucent_eu_cm(pay: TranslucentPayoffs, t: TranslucencyParams) -> float:

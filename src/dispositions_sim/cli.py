@@ -13,10 +13,11 @@ deterministic function of flags and seed. The DISPOSITIONS_SIM_THREADS
 environment variable caps Monte Carlo worker threads (0 = auto) without
 affecting output bytes.
 
-``sweep`` validates the whole grid before it writes the first byte, then
-computes and streams the rows in fixed-size chunks, so its memory grows
-with the axis lengths, not with the number of rows. A reader that closes
-stdout early (``| head``) ends any command quietly with exit 0.
+Only ``simulate`` and ``sweep`` compute on arrays, so only they import
+numpy, and only when they run (``sweep`` lives in its own module): the
+other commands, ``--help``, ``--version`` and argparse and config errors
+load none of it. A reader that closes stdout early (``| head``) ends any
+command quietly with exit 0.
 
 A JSON file passed via --config supplies defaults for any flag (keyed by
 the long flag name, e.g. {"vnc": 0.5, "axis": ["r=0:1:5"]}); explicit
@@ -31,33 +32,12 @@ import math
 import os
 import sys
 from collections import ChainMap
-from typing import Any, Iterator, NoReturn, Sequence
+from typing import Any, NoReturn, Sequence
 
-import numpy as np
-
-from .analytic import (
-    cm_rational,
-    critical_ratio,
-    translucent_columns,
-    translucent_eu_cm,
-    translucent_eu_sm,
-)
-from .core import (
-    InvalidInput,
-    TranslucencyParams,
-    TranslucentPayoffs,
-    translucent_point_valid,
-)
+from . import __version__
+from .analytic import cm_rational, critical_ratio, translucent_eu_cm, translucent_eu_sm
+from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs
 from .dynamics import evolve, interior_threshold
-from .encounter import EncounterConfig
-from .montecarlo import estimate_eus
-
-PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
-
-# Rows per sweep chunk: amortizes numpy's per-call cost, keeps a chunk < 1 MB.
-SWEEP_CHUNK_ROWS = 4096
-
-_FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
 
 
 # Every flag's argparse keywords. The type reads the command line and, through
@@ -97,20 +77,9 @@ class Settings(ChainMap):
         raise InvalidInput(f"missing required parameter --{flag}")
 
 
-SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
-
-
 def _fmt(value: float) -> str:
     """17-significant-digit serialization; infinities as 'inf'."""
     return f"{value:.17g}"
-
-
-def _fmt_column(values: np.ndarray) -> Iterator[str]:
-    """``_fmt`` of each value, formatting each distinct bit pattern once:
-    most sweep columns repeat, since only the innermost axis varies by row."""
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [_fmt(v) for v in distinct.view(np.float64).tolist()]
-    return map(text.__getitem__, inverse.tolist())
 
 
 def _json_number(value: float) -> Any:
@@ -176,6 +145,9 @@ def cmd_analytic(settings: Settings) -> int:
 
 
 def cmd_simulate(settings: Settings) -> int:
+    from .encounter import EncounterConfig
+    from .montecarlo import estimate_eus
+
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])
     seed = settings.get("seed", 0)
@@ -201,97 +173,10 @@ def cmd_simulate(settings: Settings) -> int:
     return 0
 
 
-def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
-    """The parameter name of an axis spec and its COUNT evenly spaced values."""
-    try:
-        name, _, rest = spec.partition("=")
-        start_s, stop_s, count_s = rest.split(":")
-        start, stop, count = float(start_s), float(stop_s), int(count_s)
-    except ValueError:
-        raise InvalidInput(
-            f"bad axis spec {spec!r}, expected NAME=START:STOP:COUNT"
-        ) from None
-    name = name.strip()
-    if name not in PARAM_NAMES:
-        raise InvalidInput(
-            f"unknown sweep axis {name!r}, expected one of {', '.join(PARAM_NAMES)}"
-        )
-    if count < 1:
-        raise InvalidInput(f"axis {name!r} needs a positive point count")
-    # One point is START itself, whatever STOP is (linspace turns -0.0 into 0.0).
-    # A non-finite bound gives non-finite points, which grid validation rejects.
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            return name, np.linspace(start, stop, count) if count > 1 else np.array([start])
-    except (MemoryError, ValueError):  # numpy cannot hold COUNT doubles
-        raise InvalidInput(f"axis {name!r} has too many points: {count}") from None
-
-
-def build_sweep_grid(settings: Settings) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """The swept parameters' values in command-line order, and the others' values."""
-    axis_specs = settings.get("axis", [])
-    if not axis_specs:
-        raise InvalidInput("sweep needs at least one --axis NAME=START:STOP:COUNT")
-    axes = dict(map(_parse_axis, axis_specs))
-    if len(axes) != len(axis_specs):
-        raise InvalidInput("each parameter may be swept by at most one axis")
-    if math.prod(map(len, axes.values())) > np.iinfo(np.intp).max:
-        raise InvalidInput("sweep grid has more rows than numpy can index")
-
-    fixed: dict[str, float] = {}
-    for param in PARAM_NAMES:
-        flag = _FLAG_FOR_PARAM[param]
-        if param in axes:
-            if flag in settings.maps[0]:
-                raise InvalidInput(
-                    f"parameter {param} is swept by an axis; drop the --{flag} flag"
-                )
-            continue
-        fixed[param] = settings[flag]
-    return axes, fixed
-
-
-def sweep_chunks(
-    axes: dict[str, np.ndarray], fixed: dict[str, float]
-) -> Iterator[dict[str, np.ndarray]]:
-    """Every parameter's column over chunks of ``SWEEP_CHUNK_ROWS`` rows,
-    in lexicographic order with the first-given axis outermost."""
-    shape = tuple(map(len, axes.values()))
-    n_rows = math.prod(shape)
-    for start in range(0, n_rows, SWEEP_CHUNK_ROWS):
-        rows = np.arange(start, min(start + SWEEP_CHUNK_ROWS, n_rows))
-        columns = {name: np.full(len(rows), v) for name, v in fixed.items()}
-        indices = np.unravel_index(rows, shape)
-        for (name, values), index in zip(axes.items(), indices):
-            columns[name] = values[index]
-        yield columns
-
-
 def cmd_sweep(settings: Settings) -> int:
-    axes, fixed = build_sweep_grid(settings)
+    from . import sweep
 
-    # Validate the whole grid before emitting anything: a bad point must
-    # fail the run, not cut the output short. The first bad point in row
-    # order goes through the constructors, whose message names the fault.
-    for columns in sweep_chunks(axes, fixed):
-        invalid = np.flatnonzero(~translucent_point_valid(**columns))
-        if invalid.size:
-            point = {name: float(columns[name][invalid[0]]) for name in PARAM_NAMES}
-            try:
-                TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
-                TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
-            except InvalidInput as exc:
-                values = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
-                raise InvalidInput(f"invalid grid point ({values}): {exc}") from exc
-
-    sys.stdout.write(SWEEP_HEADER + "\n")
-    for columns in sweep_chunks(axes, fixed):
-        *numbers, rational = translucent_columns(**columns)
-        fields = [_fmt_column(columns[name]) for name in PARAM_NAMES]
-        fields += [_fmt_column(column) for column in numbers]
-        fields.append(map(("false", "true").__getitem__, rational.tolist()))
-        sys.stdout.write("\n".join(map(",".join, zip(*fields))) + "\n")
-    return 0
+    return sweep.run(settings)
 
 
 def cmd_evolve(settings: Settings) -> int:
@@ -314,7 +199,10 @@ def build_parser() -> Parser:
             "sweeps and replicator dynamics for maximizing dispositions in "
             "the one-shot Prisoner's Dilemma."
         ),
+        # Top-level flags must be spelled out: "--v" is a usage error, not --version.
+        allow_abbrev=False,
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # Built per call, not at import, so the handlers are looked up when it runs.
     for name, handler, flags, help_text in (

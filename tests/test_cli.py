@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dispositions_sim.cli import SWEEP_HEADER, main
+from dispositions_sim.cli import main
+from dispositions_sim.sweep import SWEEP_HEADER
 
 REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
 

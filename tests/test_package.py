@@ -1,0 +1,154 @@
+"""Package surface and start-up contract: the lazily loaded public names,
+``--version``, and the commands that must run without importing numpy."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dispositions_sim
+from dispositions_sim.cli import main
+
+REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
+README_ANALYTIC = (
+    '{"eu_cm": 0.575, "eu_sm": 0.525, "margin": 0.04999999999999993, '
+    '"critical_ratio": 4.0, "cm_rational": true}\n'
+)
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+# Makes any later ``import numpy`` raise ImportError in the child.
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+RUN_CLI = (
+    "import runpy\n"
+    "runpy.run_module('dispositions_sim', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_python(code, *args, block_numpy):
+    """(exit code, stdout, stderr) of ``python -c code args`` in a fresh
+    interpreter, with ``import numpy`` failing there if ``block_numpy``."""
+    prelude = BLOCK_NUMPY if block_numpy else ""
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + code, *args], capture_output=True, text=True
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def assert_numpy_free(code, *args):
+    """The run gives the same bytes and exit code with numpy blocked; returns them."""
+    free = run_python(code, *args, block_numpy=False)
+    assert run_python(code, *args, block_numpy=True) == free
+    return free
+
+
+# --- the public names ---------------------------------------------------------
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from dispositions_sim import *", namespace)
+    assert set(dispositions_sim.__all__) <= namespace.keys()
+
+
+def test_dir_lists_every_public_name():
+    assert set(dispositions_sim.__all__) <= set(dir(dispositions_sim))
+
+
+def test_lazy_name_is_the_defining_modules_object():
+    assert dispositions_sim.estimate_eus is dispositions_sim.montecarlo.estimate_eus
+    assert dispositions_sim.RngStream is dispositions_sim.encounter.RngStream
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    message = "module 'dispositions_sim' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+        dispositions_sim.no_such_name
+    assert not hasattr(dispositions_sim, "no_such_name")
+
+
+# --- --version ----------------------------------------------------------------
+
+
+def test_version_flag_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (f"dispositions-sim {dispositions_sim.__version__}\n", "")
+
+
+def test_package_version_matches_pyproject():
+    declared = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
+    assert declared is not None
+    assert dispositions_sim.__version__ == declared.group(1)
+
+
+# --- numpy-free paths ---------------------------------------------------------
+
+
+def test_package_import_needs_no_numpy():
+    # dir() of a fresh import lists the lazy names without loading them.
+    code = (
+        "import dispositions_sim as d\n"
+        "print(d.__version__, sorted(set(d.__all__) - set(dir(d))))\n"
+    )
+    assert assert_numpy_free(code) == (0, dispositions_sim.__version__ + " []\n", "")
+
+
+def test_analytic_needs_no_numpy():
+    argv = ["analytic", *REFERENCE_FLAGS, "--r", "0.5"]
+    assert assert_numpy_free(RUN_CLI, *argv) == (0, README_ANALYTIC, "")
+
+
+def test_evolve_needs_no_numpy():
+    argv = ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"]
+    code, out, err = assert_numpy_free(RUN_CLI, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith('# {"interior_threshold": ')
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], *([c, "--help"] for c in ("analytic", "simulate", "sweep", "evolve"))]
+)
+def test_help_needs_no_numpy(argv):
+    code, out, err = assert_numpy_free(RUN_CLI, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: dispositions-sim ")
+
+
+def test_version_needs_no_numpy():
+    version_line = f"dispositions-sim {dispositions_sim.__version__}\n"
+    assert assert_numpy_free(RUN_CLI, "--version") == (0, version_line, "")
+
+
+def test_usage_errors_need_no_numpy(tmp_path):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"vnc": "abc"}))
+    cases = [
+        (["analytic", "--vnc", "abc"], "error: argument --vnc: invalid float value: 'abc'\n"),
+        (["analytic", "--config", str(config), "--vc", "0.75", "--p", "0.8", "--q", "0.1",
+          "--r", "0.5"], "error: config key \"vnc\" must be a number, got 'abc'\n"),
+        (["analytic", "--vnc", "0.8", "--vc", "0.5", "--p", "0.8", "--q", "0.1", "--r", "0.5"],
+         "OrderingViolation: require 0 < v_noncoop < v_coop < 1, got 0.8, 0.5\n"),
+    ]
+    for argv, line in cases:
+        assert assert_numpy_free(RUN_CLI, *argv) == (2, "", line)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"],
+        ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:3"],
+    ],
+)
+def test_array_commands_do_load_numpy(argv):
+    """The blocked runs above would pass vacuously if blocking did nothing:
+    the commands that compute on arrays must fail with numpy blocked."""
+    code, out, err = run_python(RUN_CLI, *argv, block_numpy=False)
+    assert (code, err) == (0, "") and out
+    code, out, err = run_python(RUN_CLI, *argv, block_numpy=True)
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: ") and "import of numpy halted" in err

@@ -22,7 +22,8 @@ from dispositions_sim import (
     cm_rational,
     critical_ratio,
 )
-from dispositions_sim.cli import PARAM_NAMES, SWEEP_HEADER, main
+from dispositions_sim.cli import main
+from dispositions_sim.sweep import PARAM_NAMES, SWEEP_HEADER
 
 GOLDEN = Path(__file__).parent / "golden"
 
