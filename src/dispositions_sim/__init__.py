@@ -15,7 +15,7 @@ from .core import (
     TransparentPayoffs,
 )
 from .dynamics import (
-    DegenerateFitness, Trajectory, TrajectoryStep, evolve, interior_threshold, replicator_step,
+    Trajectory, TrajectoryStep, evolve, interior_threshold, replicator_step,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "estimate_eus",
     "Trajectory",
     "TrajectoryStep",
-    "DegenerateFitness",
     "replicator_step",
     "evolve",
     "interior_threshold",

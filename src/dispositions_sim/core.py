@@ -30,7 +30,10 @@ class OrderingViolation(InvalidInput):
 
 
 class NonFiniteValue(InvalidInput):
-    """A payoff or probability is NaN or infinite."""
+    """A ``TransparentPayoffs`` level is NaN or infinite.
+
+    Elsewhere a non-finite value fails the range or ordering check instead.
+    """
 
 
 class InvalidProbability(InvalidInput):

@@ -19,14 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytic import translucent_eu_cm, translucent_eu_sm
+from .analytic import _eu_cm, _eu_sm, translucent_eu_cm, translucent_eu_sm
 from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs
 
 CONVERGENCE_TOL = 1e-12
-
-
-class DegenerateFitness(ArithmeticError):
-    """Both dispositions have zero fitness, leaving the update undefined."""
 
 
 @dataclass(frozen=True)
@@ -50,26 +46,16 @@ class Trajectory:
 
 def _ratio_step(r: float, eu_cm: float, eu_sm: float) -> float:
     # Scaling both EUs (at most 1) by 2**1000 is exact and cancels in the ratio:
-    # no bit changes unless a subnormal v_noncoop would round both to zero.
+    # no bit changes unless a subnormal v_noncoop would round both to zero. It
+    # keeps the total positive for valid inputs: fitness_sm >= 2**-53 * 2**-74
+    # whenever r < 1, and fitness_cm >= v_noncoop * 2**1000 at r = 1.
     fitness_cm = r * (eu_cm * 2.0**1000)
     fitness_sm = (1.0 - r) * (eu_sm * 2.0**1000)
-    total = fitness_cm + fitness_sm
-    if total == 0.0:
-        # Unreachable through valid payoff types: EU_sm >= v_noncoop >= 2**-1074
-        # and 1 - r >= 2**-53 keep fitness_sm > 0 whenever r < 1, and
-        # EU_cm >= v_noncoop at r = 1; kept as a guard for direct calls.
-        raise DegenerateFitness(
-            f"zero total fitness at r={r!r} (eu_cm={eu_cm!r}, eu_sm={eu_sm!r})"
-        )
-    return fitness_cm / total
+    return fitness_cm / (fitness_cm + fitness_sm)
 
 
 def replicator_step(pay: TranslucentPayoffs, t: TranslucencyParams) -> float:
-    """Next population share of constrained maximizers.
-
-    Raises:
-        DegenerateFitness: if both weighted fitnesses are zero.
-    """
+    """Next population share of constrained maximizers."""
     return _ratio_step(t.r, translucent_eu_cm(pay, t), translucent_eu_sm(pay, t))
 
 
@@ -85,15 +71,16 @@ def evolve(
 
     Raises:
         InvalidInput: if generations < 1.
-        DegenerateFitness: propagated from the update.
     """
     if generations < 1:
         raise InvalidInput(f"generations must be >= 1, got {generations}")
 
+    # The inputs were validated at construction and the update keeps r in
+    # [0, 1], so each generation evaluates the closed forms on bare floats.
+    v_nc, v_c, p, q = pay.v_noncoop, pay.v_coop, t0.p, t0.q
+
     def record(generation: int, r: float) -> TrajectoryStep:
-        t = TranslucencyParams(p=t0.p, q=t0.q, r=r)
-        eu_cm, eu_sm = translucent_eu_cm(pay, t), translucent_eu_sm(pay, t)
-        return TrajectoryStep(generation, r, eu_cm, eu_sm)
+        return TrajectoryStep(generation, r, _eu_cm(v_nc, v_c, p, q, r), _eu_sm(v_nc, q, r))
 
     # Each step's EUs are evaluated once: recorded, then fed to the update.
     steps = [record(0, t0.r)]

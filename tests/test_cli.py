@@ -19,6 +19,21 @@ from dispositions_sim.sweep import SWEEP_HEADER
 
 REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# Each run's stdout, byte for byte. The only threshold comment, 0.25 at the
+# reference payoffs and probabilities, is the exact root, so a more exactly
+# rounded root formula leaves these files alone.
+EVOLVE_GOLDENS = {
+    "evolve_reference": [*REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"],
+    "evolve_no_threshold": ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0",
+                            "--r0", "0.5", "--generations", "200"],
+    "evolve_subnormal_payoff": ["--vnc", "5e-324", "--vc", "0.5", "--p", "0", "--q", "0",
+                                "--r0", "0.5", "--generations", "3"],
+    "evolve_r0_zero": [*REFERENCE_FLAGS, "--r0", "0", "--generations", "200"],
+    "evolve_r0_one": [*REFERENCE_FLAGS, "--r0", "1", "--generations", "200"],
+}
+
 # A valid config file per subcommand.
 COMMAND_CONFIGS = {
     "analytic": {"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "r": 0.5},
@@ -323,6 +338,13 @@ class TestEvolveCommand:
         assert (code, err) == (0, "")
         rows = out.splitlines()[1:]
         assert rows and all(row.split(",")[1] == "0.5" for row in rows)
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVE_GOLDENS))
+def test_evolve_golden_csv(name, capsys):
+    code, out, err = run_cli(["evolve", *EVOLVE_GOLDENS[name]], capsys)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 class TestConfigFile:

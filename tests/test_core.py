@@ -171,12 +171,11 @@ def test_public_names_are_exactly_the_documented_surface():
         "estimate_eus",
         "Trajectory",
         "TrajectoryStep",
-        "DegenerateFitness",
         "replicator_step",
         "evolve",
         "interior_threshold",
         "__version__",
     }
-    assert len(dispositions_sim.__all__) == 30
+    assert len(dispositions_sim.__all__) == 29
     for name in dispositions_sim.__all__:
         getattr(dispositions_sim, name)

@@ -1,5 +1,7 @@
 """Replicator map: fixed points, direction law, trajectories, threshold."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +18,8 @@ from dispositions_sim.analytic import (
 from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.dynamics import (
     CONVERGENCE_TOL,
-    DegenerateFitness,
     Trajectory,
     TrajectoryStep,
-    _ratio_step,
     evolve,
     interior_threshold,
     replicator_step,
@@ -82,9 +82,20 @@ class TestReplicatorStep:
                 r = replicator_step(pay, TranslucencyParams(p=p, q=q, r=r))
                 assert 0.0 <= r <= 1.0
 
-    def test_degenerate_fitness_guard(self):
-        with pytest.raises(DegenerateFitness):
-            _ratio_step(0.5, 0.0, 0.0)
+    def test_valid_extremes_give_a_share_in_the_unit_interval(self):
+        """Subnormal, boundary and near-one inputs keep a positive total fitness."""
+        probabilities = (0.0, 5e-324, 0.5, 1.0)
+        shares = (0.0, -0.0, 5e-324, 0.5, 1 - 2**-53, 1.0)
+        checked = 0
+        for v_nc in (5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1 - 2**-52):
+            # At v_nc = 1 - 2**-52 both v_coop choices are 1 - 2**-53.
+            for v_c in {math.nextafter(v_nc, 1), math.nextafter(1, 0)}:
+                pay = TranslucentPayoffs(v_nc, v_c)
+                for p, q, r in itertools.product(probabilities, probabilities, shares):
+                    t = TranslucencyParams(p=p, q=q, r=r)
+                    assert 0.0 <= replicator_step(pay, t) <= 1.0, (pay, t)
+                    checked += 1
+        assert checked == 9 * 4 * 4 * 6
 
 
 class TestEvolve:

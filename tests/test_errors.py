@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dispositions_sim import (
-    DegenerateFitness,
     EncounterConfig,
     InvalidInput,
     InvalidProbability,
@@ -46,7 +45,6 @@ def test_input_errors_share_one_base():
     for check in (OrderingViolation, NonFiniteValue, InvalidProbability, InvalidTrialCount):
         assert check.__bases__ == (InvalidInput,)
     assert InvalidInput.__bases__ == (ValueError,)
-    assert not issubclass(DegenerateFitness, InvalidInput)
 
 
 class TestLibraryChecks:
