@@ -10,9 +10,8 @@ from .analytic import (
     translucent_eu_cm, translucent_eu_sm,
 )
 from .core import (
-    Disposition, EncounterOutcome, InvalidInput, InvalidProbability, NonFiniteValue,
-    OrderingViolation, OutcomeClass, TranslucencyParams, TranslucentPayoffs,
-    TransparentPayoffs,
+    Disposition, InvalidInput, InvalidProbability, OrderingViolation, OutcomeClass,
+    TranslucencyParams, TranslucentPayoffs, TransparentPayoffs,
 )
 from .dynamics import (
     Trajectory, TrajectoryStep, evolve, interior_threshold, replicator_step,
@@ -44,10 +43,8 @@ __all__ = [
     "TransparentPayoffs",
     "TranslucentPayoffs",
     "TranslucencyParams",
-    "EncounterOutcome",
     "InvalidInput",
     "OrderingViolation",
-    "NonFiniteValue",
     "InvalidProbability",
     "EuComparison",
     "argument1_eus",

@@ -29,13 +29,6 @@ class OrderingViolation(InvalidInput):
     """Payoff values do not respect the required strict ordering."""
 
 
-class NonFiniteValue(InvalidInput):
-    """A ``TransparentPayoffs`` level is NaN or infinite.
-
-    Elsewhere a non-finite value fails the range or ordering check instead.
-    """
-
-
 class InvalidProbability(InvalidInput):
     """A probability lies outside the closed interval [0, 1]."""
 
@@ -101,12 +94,10 @@ class TransparentPayoffs:
     u_temptation: float
 
     def __post_init__(self) -> None:
-        for value in (self.u_both_defect, self.u_coop, self.u_temptation):
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"payoff must be finite, got {value!r}")
-        if not (self.u_both_defect < self.u_coop < self.u_temptation):
+        # NaN fails every comparison and an infinity fails a bound.
+        if not (-math.inf < self.u_both_defect < self.u_coop < self.u_temptation < math.inf):
             raise OrderingViolation(
-                "require u_both_defect < u_coop < u_temptation, got "
+                "require finite u_both_defect < u_coop < u_temptation, got "
                 f"{self.u_both_defect!r}, {self.u_coop!r}, {self.u_temptation!r}"
             )
 
@@ -152,18 +143,3 @@ class TranslucencyParams:
     def __post_init__(self) -> None:
         for name in ("p", "q", "r"):
             check_probability(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class EncounterOutcome:
-    """One agent's record of a resolved encounter.
-
-    ``payoff_self`` is this agent's payoff, ``payoff_other`` the partner's.
-    Defection and exploitation only ever occur as a matched pair within a
-    single encounter.
-    """
-
-    kind: OutcomeClass
-    payoff_self: float
-    payoff_other: float
-

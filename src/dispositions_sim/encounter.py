@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     Disposition,
-    EncounterOutcome,
     InvalidInput,
     OutcomeClass,
     TranslucencyParams,
@@ -60,6 +59,9 @@ class RngStream:
         """Next ``n`` uniform draws; identical to ``n`` calls of uniform().
 
         With ``out``, the draws fill ``out[:n]`` and that view is returned."""
+        if n < 0 or (out is not None and n > len(out)):
+            room = "" if out is None else f" and <= len(out) = {len(out)}"
+            raise InvalidInput(f"n must be >= 0{room}, got {n}")
         if out is None:
             return self._gen.random(n)
         return self._gen.random(out=out[:n])
@@ -73,48 +75,33 @@ def resolve_encounter(
     b: Disposition,
     cfg: EncounterConfig,
     rng: RngStream,
-) -> tuple[EncounterOutcome, EncounterOutcome]:
-    """Resolve one encounter, returning (outcome for a, outcome for b).
+) -> tuple[OutcomeClass, OutcomeClass]:
+    """Resolve one encounter to the outcome classes (of a, of b).
 
     Cases:
-      * both straightforward: mutual non-cooperation at v_noncoop (one
-        draw consumed and discarded).
+      * both straightforward: mutual non-cooperation (one draw consumed
+        and discarded).
       * both constrained: with probability p mutual recognition succeeds
-        and both cooperate at v_coop; otherwise both fall back to
-        non-cooperation. Recognition is a single joint event, not two
-        per-agent detections.
-      * mixed: with probability q the constrained agent is exploited
-        (payoff 0) while the straightforward agent defects (payoff 1);
-        every other sub-case collapses to mutual non-cooperation.
+        and both cooperate; otherwise both fall back to non-cooperation.
+        Recognition is a single joint event, not two per-agent detections.
+      * mixed: with probability q the constrained agent is exploited while
+        the straightforward agent defects; every other sub-case collapses
+        to mutual non-cooperation.
     """
-    v_nc = cfg.payoffs.v_noncoop
     draw = rng.uniform()
-
-    noncoop = EncounterOutcome(
-        kind=OutcomeClass.NON_COOPERATION, payoff_self=v_nc, payoff_other=v_nc
-    )
+    noncoop = OutcomeClass.NON_COOPERATION, OutcomeClass.NON_COOPERATION
 
     if a is Disposition.STRAIGHTFORWARD and b is Disposition.STRAIGHTFORWARD:
-        return noncoop, noncoop
+        return noncoop
 
     if a is Disposition.CONSTRAINED and b is Disposition.CONSTRAINED:
         if draw < cfg.params.p:
-            v_c = cfg.payoffs.v_coop
-            coop = EncounterOutcome(
-                kind=OutcomeClass.COOPERATION, payoff_self=v_c, payoff_other=v_c
-            )
-            return coop, coop
-        return noncoop, noncoop
+            return OutcomeClass.COOPERATION, OutcomeClass.COOPERATION
+        return noncoop
 
     # Mixed pair: exploitation happens with probability q.
     if draw < cfg.params.q:
-        exploited = EncounterOutcome(
-            kind=OutcomeClass.EXPLOITATION, payoff_self=0.0, payoff_other=1.0
-        )
-        defected = EncounterOutcome(
-            kind=OutcomeClass.DEFECTION, payoff_self=1.0, payoff_other=0.0
-        )
         if a is Disposition.CONSTRAINED:
-            return exploited, defected
-        return defected, exploited
-    return noncoop, noncoop
+            return OutcomeClass.EXPLOITATION, OutcomeClass.DEFECTION
+        return OutcomeClass.DEFECTION, OutcomeClass.EXPLOITATION
+    return noncoop

@@ -116,7 +116,7 @@ def run_trial(
     )
     cm_outcome, _ = resolve_encounter(Disposition.CONSTRAINED, partner, cfg, cm_rng)
     sm_outcome, _ = resolve_encounter(Disposition.STRAIGHTFORWARD, partner, cfg, sm_rng)
-    return cm_outcome.kind, sm_outcome.kind
+    return cm_outcome, sm_outcome
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -12,7 +12,6 @@ import dispositions_sim
 from dispositions_sim.core import (
     Disposition,
     InvalidProbability,
-    NonFiniteValue,
     OrderingViolation,
     OutcomeClass,
     TranslucencyParams,
@@ -36,9 +35,10 @@ class TestTransparentPayoffs:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(NonFiniteValue):
+        message = r"^require finite u_both_defect < u_coop < u_temptation, got "
+        with pytest.raises(OrderingViolation, match=message + rf"{bad!r}, 0\.6, 0\.9$"):
             TransparentPayoffs(bad, 0.6, 0.9)
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(OrderingViolation, match=message + rf"0\.2, 0\.6, {bad!r}$"):
             TransparentPayoffs(0.2, 0.6, bad)
 
     def test_frozen(self):
@@ -151,10 +151,8 @@ def test_public_names_are_exactly_the_documented_surface():
         "TransparentPayoffs",
         "TranslucentPayoffs",
         "TranslucencyParams",
-        "EncounterOutcome",
         "InvalidInput",
         "OrderingViolation",
-        "NonFiniteValue",
         "InvalidProbability",
         "EuComparison",
         "argument1_eus",
@@ -176,6 +174,6 @@ def test_public_names_are_exactly_the_documented_surface():
         "interior_threshold",
         "__version__",
     }
-    assert len(dispositions_sim.__all__) == 29
+    assert len(dispositions_sim.__all__) == 27
     for name in dispositions_sim.__all__:
         getattr(dispositions_sim, name)

@@ -17,6 +17,10 @@ from dispositions_sim.encounter import EncounterConfig, RngStream, resolve_encou
 
 SM = Disposition.STRAIGHTFORWARD
 CM = Disposition.CONSTRAINED
+NONCOOP = OutcomeClass.NON_COOPERATION
+COOP = OutcomeClass.COOPERATION
+DEFECTED = OutcomeClass.DEFECTION
+EXPLOITED = OutcomeClass.EXPLOITATION
 
 
 def make_config(v_nc=0.5, v_c=0.75, p=0.8, q=0.1, r=0.5):
@@ -63,11 +67,7 @@ class TestRngStream:
 class TestResolveEncounter:
     def test_sm_vs_sm_is_mutual_noncooperation(self):
         cfg = make_config(v_nc=0.5)
-        out_a, out_b = resolve_encounter(SM, SM, cfg, RngStream(0))
-        for out in (out_a, out_b):
-            assert out.kind is OutcomeClass.NON_COOPERATION
-            assert out.payoff_self == 0.5
-            assert out.payoff_other == 0.5
+        assert resolve_encounter(SM, SM, cfg, RngStream(0)) == (NONCOOP, NONCOOP)
 
     def test_sm_vs_sm_consumes_one_draw(self):
         """The discarded draw keeps trial alignment stable across variants."""
@@ -80,35 +80,25 @@ class TestResolveEncounter:
 
     def test_cm_vs_cm_certain_recognition_cooperates(self):
         cfg = make_config(p=1.0)
-        out_a, out_b = resolve_encounter(CM, CM, cfg, RngStream(1))
-        assert out_a.kind is out_b.kind is OutcomeClass.COOPERATION
-        assert out_a.payoff_self == out_b.payoff_self == 0.75
+        assert resolve_encounter(CM, CM, cfg, RngStream(1)) == (COOP, COOP)
 
     def test_cm_vs_cm_impossible_recognition_noncooperates(self):
         cfg = make_config(p=0.0)
-        out_a, out_b = resolve_encounter(CM, CM, cfg, RngStream(1))
-        assert out_a.kind is out_b.kind is OutcomeClass.NON_COOPERATION
+        assert resolve_encounter(CM, CM, cfg, RngStream(1)) == (NONCOOP, NONCOOP)
 
     def test_cm_vs_sm_certain_exploitation(self):
-        """Defection pays 1 to the defector and 0 to the exploited agent."""
+        """The constrained agent is exploited and the other defects."""
         cfg = make_config(q=1.0)
-        cm_out, sm_out = resolve_encounter(CM, SM, cfg, RngStream(2))
-        assert cm_out.kind is OutcomeClass.EXPLOITATION
-        assert cm_out.payoff_self == 0.0 and cm_out.payoff_other == 1.0
-        assert sm_out.kind is OutcomeClass.DEFECTION
-        assert sm_out.payoff_self == 1.0 and sm_out.payoff_other == 0.0
+        assert resolve_encounter(CM, SM, cfg, RngStream(2)) == (EXPLOITED, DEFECTED)
 
     def test_sm_vs_cm_mirrors_exploitation(self):
         cfg = make_config(q=1.0)
-        sm_out, cm_out = resolve_encounter(SM, CM, cfg, RngStream(2))
-        assert sm_out.kind is OutcomeClass.DEFECTION
-        assert cm_out.kind is OutcomeClass.EXPLOITATION
+        assert resolve_encounter(SM, CM, cfg, RngStream(2)) == (DEFECTED, EXPLOITED)
 
     def test_cm_vs_sm_without_exploitation_noncooperates(self):
         cfg = make_config(q=0.0)
-        cm_out, sm_out = resolve_encounter(CM, SM, cfg, RngStream(2))
-        assert cm_out.kind is sm_out.kind is OutcomeClass.NON_COOPERATION
-        assert cm_out.payoff_self == sm_out.payoff_self == 0.5
+        assert resolve_encounter(CM, SM, cfg, RngStream(2)) == (NONCOOP, NONCOOP)
+        assert resolve_encounter(SM, CM, cfg, RngStream(2)) == (NONCOOP, NONCOOP)
 
     def test_identical_stream_state_gives_identical_outcomes(self):
         cfg = make_config()
@@ -130,19 +120,17 @@ class TestResolveEncounter:
     )
     @settings(deadline=None, max_examples=300)
     def test_outcome_pair_consistency(self, seed, pairing, p, q):
-        """Payoffs stay in [0, 1]; defection and exploitation come paired."""
+        """Defection and exploitation come paired; other classes are shared."""
         cfg = make_config(p=p, q=q)
         out_a, out_b = resolve_encounter(*pairing, cfg, RngStream(seed))
         for mine, theirs in ((out_a, out_b), (out_b, out_a)):
-            assert 0.0 <= mine.payoff_self <= 1.0
-            assert mine.payoff_self == theirs.payoff_other
-            if mine.kind is OutcomeClass.DEFECTION:
-                assert theirs.kind is OutcomeClass.EXPLOITATION
-            if mine.kind is OutcomeClass.EXPLOITATION:
-                assert theirs.kind is OutcomeClass.DEFECTION
-            if mine.kind in (OutcomeClass.NON_COOPERATION, OutcomeClass.COOPERATION):
-                assert mine.kind is theirs.kind
-                assert mine.payoff_self == theirs.payoff_self
+            assert isinstance(mine, OutcomeClass)
+            if mine is DEFECTED:
+                assert theirs is EXPLOITED
+            if mine is EXPLOITED:
+                assert theirs is DEFECTED
+            if mine in (NONCOOP, COOP):
+                assert mine is theirs
 
     def test_cooperation_frequency_converges_to_p(self):
         """Over many CM-CM encounters the cooperation rate approaches p."""
@@ -151,7 +139,7 @@ class TestResolveEncounter:
         cfg = make_config(p=p)
         stream = RngStream(2024, 0)
         coop = sum(
-            resolve_encounter(CM, CM, cfg, stream)[0].kind is OutcomeClass.COOPERATION
+            resolve_encounter(CM, CM, cfg, stream) == (COOP, COOP)
             for _ in range(n)
         )
         half_width = 2.576 * math.sqrt(p * (1 - p) / n)  # binomial 99% CI

@@ -8,6 +8,7 @@ and no stdout.
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from dispositions_sim import (
     InvalidInput,
     InvalidProbability,
     InvalidTrialCount,
-    NonFiniteValue,
     OrderingViolation,
     RngStream,
     TranslucencyParams,
@@ -42,7 +42,7 @@ def run_main(argv):
 
 
 def test_input_errors_share_one_base():
-    for check in (OrderingViolation, NonFiniteValue, InvalidProbability, InvalidTrialCount):
+    for check in (OrderingViolation, InvalidProbability, InvalidTrialCount):
         assert check.__bases__ == (InvalidInput,)
     assert InvalidInput.__bases__ == (ValueError,)
 
@@ -59,6 +59,21 @@ class TestLibraryChecks:
     def test_rng_stream_guard(self):
         with pytest.raises(InvalidInput, match="must be non-negative"):
             RngStream(-1)
+
+    @pytest.mark.parametrize(
+        "n, out, message",
+        [
+            (-1, None, r"^n must be >= 0, got -1$"),
+            (-1, 48, r"^n must be >= 0 and <= len\(out\) = 48, got -1$"),
+            (100, 48, r"^n must be >= 0 and <= len\(out\) = 48, got 100$"),
+            (49, 48, r"^n must be >= 0 and <= len\(out\) = 48, got 49$"),
+        ],
+        ids=["negative", "negative_into_out", "past_out", "one_past_out"],
+    )
+    def test_uniforms_never_returns_fewer_draws_than_asked(self, n, out, message):
+        buffer = None if out is None else np.empty(out)
+        with pytest.raises(InvalidInput, match=message):
+            RngStream(0).uniforms(n, buffer)
 
     def test_worker_count(self, monkeypatch):
         with pytest.raises(InvalidInput, match=r"^worker count must be >= 0, got -2$"):
