@@ -90,8 +90,9 @@ def argument2_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     return EuComparison.of(eu_sm=eu_sm, eu_cm=eu_cm)
 
 
-# The closed forms, written once for floats and numpy arrays alike: every
-# operation is elementwise and in the same order, so both give the same bits.
+# The closed forms, written once for every caller: the public functions below,
+# ``dynamics.evolve`` and the ``sweep`` grid evaluate the same operations in
+# the same order, so they give the same bits.
 
 
 def _eu_cm(v_noncoop, v_coop, p, q, r):
@@ -104,6 +105,9 @@ def _eu_sm(v_noncoop, q, r):
 
 def _critical_ratio(v_noncoop, v_coop, r):
     gain = v_coop - v_noncoop
+    # r == 0, or an r*gain that underflows to 0: no finite ratio suffices.
+    if r * gain == 0.0:
+        return math.inf
     return (1.0 - v_noncoop) / gain + ((1.0 - r) * v_noncoop) / (r * gain)
 
 
@@ -139,8 +143,6 @@ def critical_ratio(pay: TranslucentPayoffs, r: float) -> float:
     underflows to 0. The value is strictly decreasing in r on (0, 1].
     """
     check_probability("r", r)
-    if r * (pay.v_coop - pay.v_noncoop) == 0.0:
-        return math.inf
     return _critical_ratio(pay.v_noncoop, pay.v_coop, r)
 
 

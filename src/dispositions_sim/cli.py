@@ -13,11 +13,11 @@ deterministic function of flags and seed. The DISPOSITIONS_SIM_THREADS
 environment variable caps Monte Carlo worker threads (0 = auto) without
 affecting output bytes.
 
-Only ``simulate`` and ``sweep`` compute on arrays, so only they import
-numpy, and only when they run (``sweep`` lives in its own module): the
-other commands, ``--help``, ``--version`` and argparse and config errors
-load none of it. A reader that closes stdout early (``| head``) ends any
-command quietly with exit 0.
+Only ``simulate`` computes on arrays, so only it imports numpy, and only
+when it runs: the other commands (``sweep`` lives in its own module),
+``--help``, ``--version`` and argparse and config errors load none of it.
+A reader that closes stdout early (``| head``) ends any command quietly
+with exit 0.
 
 A JSON file passed via --config supplies defaults for any flag (keyed by
 the long flag name, e.g. {"vnc": 0.5, "axis": ["r=0:1:5"]}); explicit

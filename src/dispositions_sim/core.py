@@ -55,28 +55,15 @@ class OutcomeClass(Enum):
     EXPLOITATION = "exploitation"
 
 
-# Range checks written with ``&`` so they hold for floats and arrays alike;
-# NaN fails every comparison and so is rejected.
-
-
-def _payoffs_in_order(v_noncoop, v_coop):
-    return (0.0 < v_noncoop) & (v_noncoop < v_coop) & (v_coop < 1.0)
-
-
-def _in_unit_interval(value):
-    return (0.0 <= value) & (value <= 1.0)
+def _in_unit_interval(value: float) -> bool:
+    # NaN fails both comparisons and so is rejected.
+    return 0.0 <= value <= 1.0
 
 
 def check_probability(name: str, value: float) -> None:
     """Raise ``InvalidProbability`` unless ``value`` lies in [0, 1]."""
     if not _in_unit_interval(value):
         raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def translucent_point_valid(v_noncoop, v_coop, p, q, r):
-    """Where both translucent constructors accept the point, elementwise."""
-    in_range = _in_unit_interval(p) & _in_unit_interval(q) & _in_unit_interval(r)
-    return _payoffs_in_order(v_noncoop, v_coop) & in_range
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,8 @@ class TranslucentPayoffs:
     v_coop: float
 
     def __post_init__(self) -> None:
-        if not _payoffs_in_order(self.v_noncoop, self.v_coop):
+        # NaN fails every comparison and so is rejected.
+        if not 0.0 < self.v_noncoop < self.v_coop < 1.0:
             raise OrderingViolation(
                 "require 0 < v_noncoop < v_coop < 1, got "
                 f"{self.v_noncoop!r}, {self.v_coop!r}"

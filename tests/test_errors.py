@@ -139,18 +139,18 @@ SINGLE_FAULTS = {
     "axis-stop-inf": (
         ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1e400:3"], None,
         f"error: invalid grid point ({NAN_R_POINT}): r must lie in [0, 1], got nan"),
-    # 2**63 float64s could never be allocated: numpy fails before touching memory.
+    # 2**63 doubles could never be allocated: the axis fails before touching memory.
     "axis-past-memory": (
         ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:1000000000000000000"], None,
         "error: axis 'r' has too many points: 1000000000000000000"),
     "axis-past-intp": (
         ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:10000000000000000000"], None,
         "error: axis 'r' has too many points: 10000000000000000000"),
-    # Three 16 MiB axes whose 2**63 rows no index can address.
+    # Three 16 MiB axes whose 2**63 rows pass the signed 64-bit row bound.
     "grid-past-intp": (
         ["sweep", "--vnc", "0.5", "--vc", "0.75", "--axis", "p=0:1:2097152",
          "--axis", "q=0:1:2097152", "--axis", "r=0:1:2097152"], None,
-        "error: sweep grid has more rows than numpy can index"),
+        f"error: sweep grid has more than {2**63 - 1} rows"),
     "ordering": (
         ["analytic", "--vnc", "0.8", "--vc", "0.75", "--p", "0.8", "--q", "0.1",
          "--r", "0.5"], None,

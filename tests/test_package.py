@@ -1,5 +1,6 @@
 """Package surface and start-up contract: the lazily loaded public names,
-``--version``, and the commands that must run without importing numpy."""
+``--version``, and the commands that must run without importing numpy
+(all but ``simulate``)."""
 
 import json
 import re
@@ -137,16 +138,34 @@ def test_usage_errors_need_no_numpy(tmp_path):
         assert assert_numpy_free(RUN_CLI, *argv) == (2, "", line)
 
 
+README_SWEEP = (
+    "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational\n"
+    "0.80000000000000004,0.10000000000000001,0.25,0.5,0.75,0.51250000000000007,"
+    "0.51249999999999996,1.1102230246251565e-16,8,true\n"
+    "0.80000000000000004,0.10000000000000001,0.5,0.5,0.75,0.57499999999999996,"
+    "0.52500000000000002,0.049999999999999933,4,true\n"
+    "0.80000000000000004,0.10000000000000001,0.75,0.5,0.75,0.63750000000000007,"
+    "0.53749999999999998,0.10000000000000009,2.6666666666666665,true\n"
+)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "axis, expected",
     [
-        ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"],
-        ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:3"],
+        ("r=0.25:0.75:3", (0, README_SWEEP, "")),
+        ("r=0:2:3", (2, "", "error: invalid grid point (p=0.8, q=0.1, r=2.0, "
+                     "v_noncoop=0.5, v_coop=0.75): r must lie in [0, 1], got 2.0\n")),
     ],
 )
-def test_array_commands_do_load_numpy(argv):
+def test_sweep_needs_no_numpy(axis, expected):
+    argv = ["sweep", *REFERENCE_FLAGS, "--axis", axis]
+    assert assert_numpy_free(RUN_CLI, *argv) == expected
+
+
+def test_simulate_does_load_numpy():
     """The blocked runs above would pass vacuously if blocking did nothing:
-    the commands that compute on arrays must fail with numpy blocked."""
+    ``simulate``, which computes on arrays, must fail with numpy blocked."""
+    argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"]
     code, out, err = run_python(RUN_CLI, *argv, block_numpy=False)
     assert (code, err) == (0, "") and out
     code, out, err = run_python(RUN_CLI, *argv, block_numpy=True)

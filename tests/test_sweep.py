@@ -1,10 +1,12 @@
-"""Sweep output contract: golden bytes, a point-by-point reference, the
-invalid-point message, and memory that does not grow with the row count."""
+"""Sweep output contract: golden bytes, axes equal to numpy's linspace, a
+point-by-point reference, the invalid-point message, and memory that does
+not grow with the row count."""
 
 import contextlib
 import hashlib
 import io
 import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from dispositions_sim import (
     critical_ratio,
 )
 from dispositions_sim.cli import main
-from dispositions_sim.sweep import PARAM_NAMES, SWEEP_HEADER
+from dispositions_sim.sweep import PARAM_NAMES, SWEEP_HEADER, _linspace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,6 +95,12 @@ GOLDEN_GRIDS = {
         "--vnc", "0.3", "--vc", "0.6", "--q", "0.2",
         "--axis", "r=0.4:0.9:1", "--axis", "p=0:1:4",
     ],
+    # -0.0 keeps its sign where the axis or flag gives it: a one-point axis is
+    # START, the last point is STOP, and the others are computed (0.0 here).
+    "sweep_signed_zero": [
+        "--vnc", "0.5", "--vc", "0.75", "--q", "-0.0",
+        "--axis", "r=-0.0:1:1", "--axis", "p=-0.0:-0.0:3",
+    ],
 }
 
 
@@ -101,6 +109,32 @@ def test_golden_csv(name):
     code, out, err = run_sweep(GOLDEN_GRIDS[name])
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+_endpoint = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308]),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@example(0.0, 5e-324, 3, False)  # a zero step: linspace divides before it multiplies
+@example(-0.0, -0.0, 3, False)
+@example(1e308, -1e308, 5, False)  # delta overflows to -inf
+@example(math.inf, 1.0, 3, False)
+@example(math.nan, 1.0, 3, False)
+@example(2.5, 2.5, 7, False)
+@settings(max_examples=400, deadline=None)
+@given(_endpoint, _endpoint, st.integers(1, 64), st.booleans())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf - inf and 0 * inf
+def test_axis_values_are_numpys_linspace_bit_for_bit(start, stop, count, same):
+    if same:
+        stop = start
+    expected = [start] if count == 1 else np.linspace(start, stop, count)
+    assert _bits(_linspace(start, stop, count)) == _bits(expected)
 
 
 def test_golden_csv_covers_infinite_ratio():
@@ -141,9 +175,9 @@ def grids(draw):
     return fixed, axes
 
 
-# A subnormal r overflows the critical ratio's second term to inf; numpy
-# must do so as quietly as float division does. The smallest one makes the
-# denominator underflow to 0, where the scalar form must give inf as well.
+# A subnormal r overflows the critical ratio's second term to inf, quietly.
+# The smallest one makes the denominator underflow to 0, where the ratio
+# must be inf as well.
 @example(({"q": 0.0, "r": 2.2250738585e-313, "v_noncoop": 0.25, "v_coop": 0.75},
           [("p", 0.0, 0.0, 1)]))
 @example(({"q": 0.0, "r": 5e-324, "v_noncoop": 0.25, "v_coop": 0.75},
