@@ -18,44 +18,38 @@ All functions here are pure; identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
+    InvalidInput,
     TranslucencyParams,
     TranslucentPayoffs,
     TransparentPayoffs,
+    _Record,
     check_probability,
 )
 
 
-@dataclass(frozen=True)
-class EuComparison:
+class EuComparison(
+    _Record, namedtuple("EuComparison", "eu_sm eu_cm cm_is_rational margin")
+):
     """Expected utilities of the two dispositions and their comparison.
 
     ``margin`` is eu_cm - eu_sm; ``cm_is_rational`` holds iff the margin
     is strictly positive.
     """
 
-    eu_sm: float
-    eu_cm: float
-    cm_is_rational: bool
-    margin: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cm_is_rational != (self.margin > 0.0):
-            raise ValueError(
-                f"cm_is_rational={self.cm_is_rational} contradicts margin={self.margin!r}"
-            )
+    def __new__(cls, eu_sm: float, eu_cm: float, cm_is_rational: bool, margin: float):
+        if cm_is_rational != (margin > 0.0):
+            raise InvalidInput(f"cm_is_rational={cm_is_rational} contradicts margin={margin!r}")
+        return super().__new__(cls, eu_sm, eu_cm, cm_is_rational, margin)
 
     @classmethod
     def of(cls, eu_sm: float, eu_cm: float) -> "EuComparison":
         margin = eu_cm - eu_sm
-        return cls(
-            eu_sm=eu_sm,
-            eu_cm=eu_cm,
-            cm_is_rational=margin > 0.0,
-            margin=margin,
-        )
+        return cls(eu_sm, eu_cm, margin > 0.0, margin)
 
 
 def argument1_eus(pay: TransparentPayoffs, p: float) -> EuComparison:

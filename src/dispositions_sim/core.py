@@ -10,14 +10,16 @@ get separate types:
   imperfect, where exploitation is pinned at 0 and unilateral defection
   at 1, leaving only the non-cooperation and cooperation levels free.
 
-All types are immutable after construction and reject invalid values at
-construction time, so downstream code never re-checks ranges.
+The records here and in the other modules are named tuples: immutable,
+iterable and indexable, equal to a plain tuple of the same values, and
+checked on every construction path (the constructor, ``_make`` and
+``_replace``), so downstream code never re-checks ranges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -66,8 +68,21 @@ def check_probability(name: str, value: float) -> None:
         raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class TransparentPayoffs:
+class _Record:
+    """Base of the named-tuple records, listed before the ``namedtuple``:
+    ``_make``, and ``_replace`` through it, build through the subclass
+    constructor, so no path skips the checks in its ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class TransparentPayoffs(
+    _Record, namedtuple("TransparentPayoffs", "u_both_defect u_coop u_temptation")
+):
     """Payoff levels for the full-information analysis, u < u' < u''.
 
     Attributes:
@@ -76,21 +91,19 @@ class TransparentPayoffs:
         u_temptation: the defector's payoff when the others cooperate.
     """
 
-    u_both_defect: float
-    u_coop: float
-    u_temptation: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, u_both_defect: float, u_coop: float, u_temptation: float):
         # NaN fails every comparison and an infinity fails a bound.
-        if not (-math.inf < self.u_both_defect < self.u_coop < self.u_temptation < math.inf):
+        if not (-math.inf < u_both_defect < u_coop < u_temptation < math.inf):
             raise OrderingViolation(
                 "require finite u_both_defect < u_coop < u_temptation, got "
-                f"{self.u_both_defect!r}, {self.u_coop!r}, {self.u_temptation!r}"
+                f"{u_both_defect!r}, {u_coop!r}, {u_temptation!r}"
             )
+        return super().__new__(cls, u_both_defect, u_coop, u_temptation)
 
 
-@dataclass(frozen=True)
-class TranslucentPayoffs:
+class TranslucentPayoffs(_Record, namedtuple("TranslucentPayoffs", "v_noncoop v_coop")):
     """Normalized payoffs with exploitation fixed at 0 and defection at 1.
 
     The two free levels must satisfy 0 < v_noncoop < v_coop < 1 so the
@@ -98,20 +111,18 @@ class TranslucentPayoffs:
     exploitation.
     """
 
-    v_noncoop: float
-    v_coop: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, v_noncoop: float, v_coop: float):
         # NaN fails every comparison and so is rejected.
-        if not 0.0 < self.v_noncoop < self.v_coop < 1.0:
+        if not 0.0 < v_noncoop < v_coop < 1.0:
             raise OrderingViolation(
-                "require 0 < v_noncoop < v_coop < 1, got "
-                f"{self.v_noncoop!r}, {self.v_coop!r}"
+                f"require 0 < v_noncoop < v_coop < 1, got {v_noncoop!r}, {v_coop!r}"
             )
+        return super().__new__(cls, v_noncoop, v_coop)
 
 
-@dataclass(frozen=True)
-class TranslucencyParams:
+class TranslucencyParams(_Record, namedtuple("TranslucencyParams", "p q r")):
     """Recognition and population probabilities, each in [0, 1].
 
     Attributes:
@@ -124,10 +135,9 @@ class TranslucencyParams:
             constrained maximizer.
     """
 
-    p: float
-    q: float
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "r"):
-            check_probability(name, getattr(self, name))
+    def __new__(cls, p: float, q: float, r: float):
+        for name, value in (("p", p), ("q", q), ("r", r)):
+            check_probability(name, value)
+        return super().__new__(cls, p, q, r)

@@ -17,31 +17,29 @@ cooperators at high r; the resulting interior unstable threshold is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .analytic import _eu_cm, _eu_sm, translucent_eu_cm, translucent_eu_sm
-from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs
+from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _Record
 
 CONVERGENCE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    generation: int
-    r: float
-    eu_cm: float
-    eu_sm: float
+class TrajectoryStep(_Record, namedtuple("TrajectoryStep", "generation r eu_cm eu_sm")):
+    """One generation: its index, the share r and both EUs at that r."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record, namedtuple("Trajectory", "steps")):
     """Recorded evolution of the population share, one step per generation.
 
-    Ends early (before the requested generation count) when successive
-    shares differ by less than ``CONVERGENCE_TOL``.
+    ``steps`` is a tuple of ``TrajectoryStep``. It ends early (before the
+    requested generation count) when successive shares differ by less than
+    ``CONVERGENCE_TOL``.
     """
 
-    steps: tuple[TrajectoryStep, ...]
+    __slots__ = ()
 
 
 def _ratio_step(r: float, eu_cm: float, eu_sm: float) -> float:

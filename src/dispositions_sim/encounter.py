@@ -9,25 +9,18 @@ changes, which stabilizes paired comparisons across experiment variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .core import (
-    Disposition,
-    InvalidInput,
-    OutcomeClass,
-    TranslucencyParams,
-    TranslucentPayoffs,
-)
+from .core import Disposition, InvalidInput, OutcomeClass, _Record
 
 
-@dataclass(frozen=True)
-class EncounterConfig:
-    """Payoffs and recognition probabilities governing encounters."""
+class EncounterConfig(_Record, namedtuple("EncounterConfig", "payoffs params")):
+    """Payoffs (``TranslucentPayoffs``) and recognition probabilities
+    (``TranslucencyParams``) governing encounters."""
 
-    payoffs: TranslucentPayoffs
-    params: TranslucencyParams
+    __slots__ = ()
 
 
 class RngStream:

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
-from .core import Disposition, InvalidInput, OutcomeClass
+from .core import Disposition, InvalidInput, OutcomeClass, _Record
 from .encounter import EncounterConfig, RngStream, resolve_encounter
 
 BLOCK_TRIALS = 65_536
@@ -45,21 +45,18 @@ class InvalidTrialCount(InvalidInput):
     """The requested number of trials is not a positive integer."""
 
 
-@dataclass(frozen=True)
-class TrialReport:
+_REPORT_FIELDS = "n_trials mean_payoff_cm mean_payoff_sm stderr_cm stderr_sm outcome_histogram"
+
+
+class TrialReport(_Record, namedtuple("TrialReport", _REPORT_FIELDS)):
     """Aggregated estimates from one Monte Carlo run.
 
     ``outcome_histogram`` counts the focal agent's outcome class over all
     resolved encounters (two per trial), so its values sum to
-    2 * n_trials.
+    2 * n_trials. Being a dict, it leaves the report unhashable.
     """
 
-    n_trials: int
-    mean_payoff_cm: float
-    mean_payoff_sm: float
-    stderr_cm: float
-    stderr_sm: float
-    outcome_histogram: dict[OutcomeClass, int]
+    __slots__ = ()
 
 
 def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, RngStream]:

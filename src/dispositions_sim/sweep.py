@@ -34,17 +34,14 @@ _MAX_ROWS = 2**63 - 1
 _FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
 
 
-def _linspace(start: float, stop: float, count: int) -> array:
-    """COUNT evenly spaced doubles from START to STOP, bit for bit the values
-    of ``numpy.linspace``; one point is START itself, whatever STOP is.
-
-    The array is allocated before it is filled, so a COUNT that cannot be
-    held raises ``MemoryError`` or ``OverflowError`` without touching memory.
-    """
-    if count == 1:
-        return array("d", [start])
-    values = array("d", [0.0]) * count
-    div = count - 1
+def _fill_linspace(values: array, start: float, stop: float) -> array:
+    """Fill VALUES with len(VALUES) evenly spaced doubles from START to STOP,
+    bit for bit the values of ``numpy.linspace``; one point is START itself,
+    whatever STOP is. Returns VALUES."""
+    div = len(values) - 1
+    if div == 0:
+        values[0] = start
+        return values
     delta = stop - start
     step = delta / div
     if step == 0:  # delta is 0 or delta/div underflowed: numpy divides i first
@@ -57,8 +54,14 @@ def _linspace(start: float, stop: float, count: int) -> array:
     return values
 
 
-def _parse_axis(spec: str) -> tuple[str, array]:
-    """The parameter name of an axis spec and its COUNT evenly spaced values."""
+def _linspace(start: float, stop: float, count: int) -> array:
+    """COUNT evenly spaced doubles from START to STOP, as ``_fill_linspace``."""
+    return _fill_linspace(array("d", [0.0]) * count, start, stop)
+
+
+def _parse_axis(spec: str) -> tuple[str, float, float, array]:
+    """The parameter name, START and STOP of an axis spec, and an array of its
+    COUNT points, allocated but not yet filled."""
     try:
         name, _, rest = spec.partition("=")
         start_s, stop_s, count_s = rest.split(":")
@@ -74,10 +77,9 @@ def _parse_axis(spec: str) -> tuple[str, array]:
         )
     if count < 1:
         raise InvalidInput(f"axis {name!r} needs a positive point count")
-    # A non-finite bound gives non-finite points, which grid validation rejects.
-    try:
-        return name, _linspace(start, stop, count)
-    except (MemoryError, OverflowError):  # COUNT doubles cannot be held
+    try:  # raises before touching memory when COUNT doubles cannot be held
+        return name, start, stop, array("d", [0.0]) * count
+    except (MemoryError, OverflowError):
         raise InvalidInput(f"axis {name!r} has too many points: {count}") from None
 
 
@@ -86,11 +88,16 @@ def build_sweep_grid(settings: Settings) -> tuple[dict[str, array], dict[str, fl
     axis_specs = settings.get("axis", [])
     if not axis_specs:
         raise InvalidInput("sweep needs at least one --axis NAME=START:STOP:COUNT")
-    axes = dict(map(_parse_axis, axis_specs))
+    parsed = list(map(_parse_axis, axis_specs))
+    axes = {name: values for name, _, _, values in parsed}
     if len(axes) != len(axis_specs):
         raise InvalidInput("each parameter may be swept by at most one axis")
     if math.prod(map(len, axes.values())) > _MAX_ROWS:
         raise InvalidInput(f"sweep grid has more than {_MAX_ROWS} rows")
+    # Filling is the slow part, so it waits until the grid is within bounds.
+    # A non-finite bound gives non-finite points, which grid validation rejects.
+    for _, start, stop, values in parsed:
+        _fill_linspace(values, start, stop)
 
     fixed: dict[str, float] = {}
     for param in PARAM_NAMES:

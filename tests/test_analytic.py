@@ -7,6 +7,7 @@ must agree within 1e-12 absolute.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from dispositions_sim.analytic import (
     translucent_eu_sm,
 )
 from dispositions_sim.core import (
+    InvalidInput,
     InvalidProbability,
     TranslucencyParams,
     TranslucentPayoffs,
@@ -271,6 +273,21 @@ def test_eucomparison_factory_classifies_tie_as_not_rational():
     comparison = EuComparison.of(eu_sm=0.5, eu_cm=0.5)
     assert comparison.margin == 0.0
     assert not comparison.cm_is_rational
+
+
+def test_eucomparison_record_contract(record_contract):
+    record_contract(
+        EuComparison,
+        {"eu_sm": 0.525, "eu_cm": 0.575, "cm_is_rational": True, "margin": 0.05},
+        "EuComparison(eu_sm=0.525, eu_cm=0.575, cm_is_rational=True, margin=0.05)",
+    )
+
+
+@pytest.mark.parametrize("cm_is_rational, margin", [(False, 0.05), (True, 0.0), (True, math.nan)])
+def test_eucomparison_rejects_a_flag_that_contradicts_the_margin(cm_is_rational, margin):
+    message = f"cm_is_rational={cm_is_rational} contradicts margin={margin!r}"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        EuComparison(eu_sm=0.5, eu_cm=0.55, cm_is_rational=cm_is_rational, margin=margin)
 
 
 @pytest.mark.parametrize(

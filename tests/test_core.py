@@ -1,16 +1,17 @@
 """Constructor validation and immutability of the domain types, and the
 package's public names."""
 
-import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dispositions_sim
+from dispositions_sim.analytic import EuComparison
 from dispositions_sim.core import (
     Disposition,
+    InvalidInput,
     InvalidProbability,
     OrderingViolation,
     OutcomeClass,
@@ -18,6 +19,9 @@ from dispositions_sim.core import (
     TranslucentPayoffs,
     TransparentPayoffs,
 )
+from dispositions_sim.dynamics import Trajectory, TrajectoryStep
+from dispositions_sim.encounter import EncounterConfig
+from dispositions_sim.montecarlo import TrialReport
 
 
 class TestTransparentPayoffs:
@@ -43,8 +47,18 @@ class TestTransparentPayoffs:
 
     def test_frozen(self):
         pay = TransparentPayoffs(0.2, 0.6, 0.9)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            pay.u_coop = 0.7
+        for name in ("u_coop", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(pay, name, 0.7)
+            assert pay == TransparentPayoffs(0.2, 0.6, 0.9)
+            assert not hasattr(pay, "extra")
+
+    def test_record_contract(self, record_contract):
+        record_contract(
+            TransparentPayoffs,
+            {"u_both_defect": 0.2, "u_coop": 0.6, "u_temptation": 0.9},
+            "TransparentPayoffs(u_both_defect=0.2, u_coop=0.6, u_temptation=0.9)",
+        )
 
     @given(
         u=st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -81,6 +95,13 @@ class TestTranslucentPayoffs:
         with pytest.raises(OrderingViolation):
             TranslucentPayoffs(0.3, bad)
 
+    def test_record_contract(self, record_contract):
+        record_contract(
+            TranslucentPayoffs,
+            {"v_noncoop": 0.5, "v_coop": 0.75},
+            "TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75)",
+        )
+
     @given(
         v_nc=st.floats(allow_nan=False, allow_infinity=False, width=64),
         v_c=st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -113,8 +134,18 @@ class TestTranslucencyParams:
 
     def test_frozen(self):
         t = TranslucencyParams(p=0.8, q=0.1, r=0.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            t.r = 0.9
+        for name in ("r", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, 0.9)
+            assert t == TranslucencyParams(p=0.8, q=0.1, r=0.5)
+            assert not hasattr(t, "extra")
+
+    def test_record_contract(self, record_contract):
+        record_contract(
+            TranslucencyParams,
+            {"p": 0.8, "q": 0.1, "r": 0.5},
+            "TranslucencyParams(p=0.8, q=0.1, r=0.5)",
+        )
 
     @given(
         p=st.floats(allow_nan=False, width=64),
@@ -128,6 +159,70 @@ class TestTranslucencyParams:
         else:
             with pytest.raises(InvalidProbability):
                 TranslucencyParams(p=p, q=q, r=r)
+
+
+# A valid instance of each record type; the first four check their fields.
+VALIDATED_RECORDS = [
+    TransparentPayoffs(0.2, 0.6, 0.9),
+    TranslucentPayoffs(0.5, 0.75),
+    TranslucencyParams(0.8, 0.1, 0.5),
+    EuComparison(0.525, 0.575, True, 0.05),
+]
+RECORDS = VALIDATED_RECORDS + [
+    TrajectoryStep(0, 0.5, 0.575, 0.525),
+    Trajectory((TrajectoryStep(0, 0.5, 0.575, 0.525),)),
+    EncounterConfig(TranslucentPayoffs(0.5, 0.75), TranslucencyParams(0.8, 0.1, 0.5)),
+    TrialReport(2, 0.5, 0.75, 0.0, 0.25, {OutcomeClass.NON_COOPERATION: 4}),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_named_tuples(record):
+    """Records iterate, index and compare equal to the tuple of their fields,
+    and carry no ``__dict__`` that could take a stray attribute."""
+    values = tuple(getattr(record, name) for name in record._fields)
+    assert isinstance(record, tuple)
+    assert record == values and tuple(record) == values
+    assert all(record[i] is value for i, value in enumerate(values))
+    assert not hasattr(record, "__dict__")
+    assert type(record)._make(values) == record == record._replace()
+
+
+def _built(build):
+    """What a record construction gives: the record's type and repr, or the
+    class and message of the ``InvalidInput`` it raises."""
+    try:
+        record = build()
+    except InvalidInput as exc:
+        return type(exc), str(exc)
+    return type(record), repr(record)
+
+
+@st.composite
+def replacements(draw):
+    record = draw(st.sampled_from(VALIDATED_RECORDS))
+    name = draw(st.sampled_from(record._fields))
+    return record, name, draw(st.booleans() if name == "cm_is_rational" else st.floats())
+
+
+@example((TranslucentPayoffs(0.5, 0.75), "v_coop", 2.0))
+@example((TransparentPayoffs(0.2, 0.6, 0.9), "u_temptation", math.inf))
+@example((TranslucencyParams(0.8, 0.1, 0.5), "q", -0.0))
+@example((TranslucencyParams(0.8, 0.1, 0.5), "r", math.nan))
+@example((EuComparison(0.525, 0.575, True, 0.05), "margin", -0.05))
+@example((EuComparison(0.525, 0.575, True, 0.05), "cm_is_rational", False))
+@settings(deadline=None, max_examples=300)
+@given(replacements())
+def test_replace_and_make_check_like_the_constructor(case):
+    """No construction path skips the constructor's checks: ``_replace`` and
+    ``_make`` give the constructor's record, or raise its error and message."""
+    record, name, value = case
+    cls = type(record)
+    values = [value if field == name else old for field, old in zip(cls._fields, record)]
+    expected = _built(lambda: cls(*values))
+    assert _built(lambda: record._replace(**{name: value})) == expected
+    assert _built(lambda: cls._make(values)) == expected
+    assert _built(lambda: cls._make(iter(values))) == expected
 
 
 def test_disposition_has_exactly_two_variants():

@@ -32,6 +32,23 @@ def params(p=0.8, q=0.1, r=0.5):
     return TranslucencyParams(p=p, q=q, r=r)
 
 
+def test_trajectory_step_record_contract(record_contract):
+    record_contract(
+        TrajectoryStep,
+        {"generation": 0, "r": 0.5, "eu_cm": 0.575, "eu_sm": 0.525},
+        "TrajectoryStep(generation=0, r=0.5, eu_cm=0.575, eu_sm=0.525)",
+    )
+
+
+def test_trajectory_record_contract(record_contract):
+    step = TrajectoryStep(generation=0, r=0.5, eu_cm=0.575, eu_sm=0.525)
+    record_contract(
+        Trajectory,
+        {"steps": (step,)},
+        "Trajectory(steps=(TrajectoryStep(generation=0, r=0.5, eu_cm=0.575, eu_sm=0.525),))",
+    )
+
+
 class TestReplicatorStep:
     def test_extinction_is_a_fixed_point(self):
         assert replicator_step(PAY, params(r=0.0)) == 0.0

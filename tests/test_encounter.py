@@ -30,6 +30,15 @@ def make_config(v_nc=0.5, v_c=0.75, p=0.8, q=0.1, r=0.5):
     )
 
 
+def test_encounter_config_record_contract(record_contract):
+    record_contract(
+        EncounterConfig,
+        {"payoffs": TranslucentPayoffs(0.5, 0.75), "params": TranslucencyParams(0.8, 0.1, 0.5)},
+        "EncounterConfig(payoffs=TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75), "
+        "params=TranslucencyParams(p=0.8, q=0.1, r=0.5))",
+    )
+
+
 class TestRngStream:
     def test_same_address_reproduces_sequence(self):
         a = RngStream(123, 7)

@@ -78,6 +78,25 @@ def reference_report(cfg: EncounterConfig, n_trials: int, seed: int) -> TrialRep
     )
 
 
+def test_trial_report_record_contract(record_contract):
+    # The histogram is a dict, so a report, like the dict, has no hash.
+    record_contract(
+        TrialReport,
+        {
+            "n_trials": 2,
+            "mean_payoff_cm": 0.5,
+            "mean_payoff_sm": 0.75,
+            "stderr_cm": 0.0,
+            "stderr_sm": 0.25,
+            "outcome_histogram": {OutcomeClass.NON_COOPERATION: 3, OutcomeClass.DEFECTION: 1},
+        },
+        "TrialReport(n_trials=2, mean_payoff_cm=0.5, mean_payoff_sm=0.75, stderr_cm=0.0, "
+        "stderr_sm=0.25, outcome_histogram={<OutcomeClass.NON_COOPERATION: 'non_cooperation'>: 3, "
+        "<OutcomeClass.DEFECTION: 'defection'>: 1})",
+        hashable=False,
+    )
+
+
 class TestScalarEquivalence:
     def test_single_block_matches_trial_loop(self):
         """Vectorized counts equal resolving each trial with resolve_encounter."""

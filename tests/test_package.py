@@ -1,6 +1,6 @@
 """Package surface and start-up contract: the lazily loaded public names,
-``--version``, and the commands that must run without importing numpy
-(all but ``simulate``)."""
+``--version``, the commands that must run without importing numpy (all but
+``simulate``), and the modules that no start-up path loads."""
 
 import json
 import re
@@ -171,3 +171,44 @@ def test_simulate_does_load_numpy():
     code, out, err = run_python(RUN_CLI, *argv, block_numpy=True)
     assert (code, out) == (1, "")
     assert err.startswith("internal error: ") and "import of numpy halted" in err
+
+
+# --- modules kept off the start-up path -------------------------------------
+
+# Writes to stderr the modules that running STEP adds to sys.modules.
+MODULES_ADDED = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "{step}\n"
+    "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+)
+RUN_MAIN = "from dispositions_sim.cli import main\nif main({argv!r}):\n    raise SystemExit(1)"
+START_UP_STEPS = {
+    "package": "import dispositions_sim",
+    "cli": "import dispositions_sim.cli",
+    "analytic": RUN_MAIN.format(argv=["analytic", *REFERENCE_FLAGS, "--r", "0.5"]),
+    "evolve": RUN_MAIN.format(
+        argv=["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"]
+    ),
+    "sweep": RUN_MAIN.format(argv=["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25:0.75:3"]),
+}
+
+
+def modules_added(step):
+    """The modules that ``step`` adds to a fresh interpreter's sys.modules."""
+    code, _, err = run_python(MODULES_ADDED.format(step=step), block_numpy=False)
+    assert code == 0, err
+    return set(err.split())
+
+
+@pytest.mark.parametrize("step", START_UP_STEPS.values(), ids=START_UP_STEPS)
+def test_start_up_loads_neither_dataclasses_nor_inspect(step):
+    added = modules_added(step)
+    assert "dispositions_sim" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_an_explicit_import_does_load_dataclasses():
+    """The diffs above would pass vacuously if a module they look for were
+    loaded before them, or if they missed what a step loads."""
+    assert {"dataclasses", "inspect"} <= modules_added("import dataclasses")

@@ -24,6 +24,7 @@ from dispositions_sim import (
     cm_rational,
     critical_ratio,
 )
+from dispositions_sim import sweep
 from dispositions_sim.cli import main
 from dispositions_sim.sweep import PARAM_NAMES, SWEEP_HEADER, _linspace
 
@@ -226,6 +227,43 @@ def test_first_invalid_point_in_row_order_is_named(argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: invalid grid point {message}\n"
+
+
+# Three 16 MiB axes whose 2**63 rows pass the signed 64-bit row bound.
+HUGE_AXES = ["--axis", "p=0:1:2097152", "--axis", "q=0:1:2097152", "--axis", "r=0:1:2097152"]
+
+
+@pytest.mark.parametrize(
+    "axes, error",
+    [
+        (HUGE_AXES, f"sweep grid has more than {2**63 - 1} rows"),
+        # An axis too long to hold is named first, before the row bound.
+        (HUGE_AXES[:4] + ["--axis", "r=0:1:10000000000000000000"],
+         "axis 'r' has too many points: 10000000000000000000"),
+        (HUGE_AXES + ["--axis", "p=0:1:2"], "each parameter may be swept by at most one axis"),
+    ],
+    ids=["row-bound", "axis-past-memory", "axis-twice"],
+)
+def test_a_grid_past_its_bounds_fills_no_axis(monkeypatch, axes, error):
+    filled = []
+    monkeypatch.setattr(sweep, "_fill_linspace", lambda values, *ends: filled.append(ends))
+    assert run_sweep(["--vnc", "0.5", "--vc", "0.75", *axes]) == (2, "", f"error: {error}\n")
+    assert filled == []
+
+
+def test_a_grid_within_its_bounds_fills_every_axis(monkeypatch):
+    """The spy above sees fills when there are any."""
+    fill, filled = sweep._fill_linspace, []
+
+    def spy(values, start, stop):
+        filled.append((len(values), start, stop))
+        return fill(values, start, stop)
+
+    monkeypatch.setattr(sweep, "_fill_linspace", spy)
+    code, out, _ = run_sweep(["--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
+                              "--axis", "p=0:1:3", "--axis", "r=0.5:1:2"])
+    assert (code, out.count("\n")) == (0, 1 + 3 * 2)
+    assert filled == [(3, 0.0, 1.0), (2, 0.5, 1.0)]
 
 
 _PEAK_RSS_CHILD = """
