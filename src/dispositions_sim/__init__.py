@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # The Monte Carlo names need numpy, so they load on first use (PEP 562): the
 # closed forms, the replicator model and the CLI's other commands need none.
-_LAZY = dict.fromkeys(("EncounterConfig", "RngStream", "resolve_encounter"), "encounter")
+_LAZY = dict.fromkeys(("EncounterConfig", "RngStream"), "encounter")
 _LAZY.update(dict.fromkeys(("TrialReport", "InvalidTrialCount", "estimate_eus"), "montecarlo"))
 
 
@@ -55,7 +55,6 @@ __all__ = [
     "cm_rational",
     "EncounterConfig",
     "RngStream",
-    "resolve_encounter",
     "TrialReport",
     "InvalidTrialCount",
     "estimate_eus",

@@ -4,7 +4,8 @@ Serves as the independent check on the closed forms in ``analytic``: a
 focal agent is paired against a population containing constrained
 maximizers in fraction r, and each trial resolves the encounter twice,
 once with the focal agent constrained and once straightforward, using
-independent recognition draws but the same sampled partner.
+independent recognition draws but the same sampled partner. ``_run_block``
+applies the encounter rules, a block of trials at a time.
 
 Trials are partitioned into fixed-size blocks. Block k draws from three
 dedicated streams derived from (seed, 3k), (seed, 3k+1) and (seed, 3k+2)
@@ -33,8 +34,8 @@ from math import sqrt
 
 import numpy as np
 
-from .core import Disposition, InvalidInput, OutcomeClass, _Record
-from .encounter import EncounterConfig, RngStream, resolve_encounter
+from .core import InvalidInput, OutcomeClass, _Record
+from .encounter import EncounterConfig, RngStream
 
 BLOCK_TRIALS = 65_536
 
@@ -74,11 +75,19 @@ def _run_block(
 ) -> np.ndarray:
     """The block's ``(cm_coop, cm_exploited, sm_defect)`` counts, vectorized.
 
-    Consumes exactly one uniform per encounter from the per-purpose
-    streams, matching the scalar ``resolve_encounter`` draw discipline,
-    so the counts equal those of a trial-by-trial loop over the same
-    streams (asserted by the test suite). The draws overwrite the first
-    ``trials`` columns of the ``(3, BLOCK_TRIALS)`` buffer ``draws``.
+    A trial's partner is constrained when its partner draw is below r.
+    Two constrained agents cooperate when their recognition draw is below
+    p; in a mixed pair the constrained agent is exploited when the draw is
+    below q; every other encounter is mutual non-cooperation.
+
+    Every encounter consumes exactly one uniform draw from its stream,
+    including the defector-vs-defector case (the draw is discarded there).
+    A trial thus keeps its random numbers when only the disposition
+    assignment changes, which stabilizes paired comparisons across
+    experiment variants. The counts equal those of the scalar oracle,
+    ``tests/scalar_oracle.py``, run trial by trial over the same streams
+    (asserted by the test suite). The draws overwrite the first ``trials``
+    columns of the ``(3, BLOCK_TRIALS)`` buffer ``draws``.
     """
     u_partner, u_cm_focal, u_sm_focal = (
         rng.uniforms(trials, out) for rng, out in zip(block_streams(seed, block_index), draws)
@@ -91,29 +100,6 @@ def _run_block(
         np.count_nonzero(~partner_is_cm & (u_cm_focal < q)),
         np.count_nonzero(partner_is_cm & (u_sm_focal < q)),
     ])
-
-
-def run_trial(
-    cfg: EncounterConfig,
-    partner_rng: RngStream,
-    cm_rng: RngStream,
-    sm_rng: RngStream,
-) -> tuple[OutcomeClass, OutcomeClass]:
-    """Resolve one trial's two encounters, returning the focal outcome classes.
-
-    This is the scalar definition the vectorized blocks must agree with:
-    sample the partner disposition once, then resolve the encounter with
-    the focal agent constrained and again straightforward, on independent
-    recognition streams.
-    """
-    partner = (
-        Disposition.CONSTRAINED
-        if partner_rng.uniform() < cfg.params.r
-        else Disposition.STRAIGHTFORWARD
-    )
-    cm_outcome, _ = resolve_encounter(Disposition.CONSTRAINED, partner, cfg, cm_rng)
-    sm_outcome, _ = resolve_encounter(Disposition.STRAIGHTFORWARD, partner, cfg, sm_rng)
-    return cm_outcome, sm_outcome
 
 
 def resolve_workers(workers: int | None = None) -> int:

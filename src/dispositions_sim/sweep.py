@@ -2,8 +2,9 @@
 
 Each grid point costs a few float operations, so the grid is walked in plain
 Python with the scalar closed forms of ``analytic`` and imports no numpy.
-The axes are the only per-run storage, one ``array('d')`` each, so memory
-grows with the axis lengths, not with the number of rows.
+Per-run storage is one ``array('d')`` per axis, plus the tuples that
+``itertools.product`` keeps of the axes it walks, so memory grows with the
+axis lengths, not with the number of rows.
 
 ``run`` validates the whole grid before it writes the first byte, then
 computes and streams the rows in fixed-size chunks.
@@ -14,8 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import chain, product
+from typing import Sequence
 
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
 from .cli import Settings, _fmt
@@ -36,8 +37,9 @@ _FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
 
 def _fill_linspace(values: array, start: float, stop: float) -> array:
     """Fill VALUES with len(VALUES) evenly spaced doubles from START to STOP,
-    bit for bit the values of ``numpy.linspace``; one point is START itself,
-    whatever STOP is. Returns VALUES."""
+    bit for bit the values of ``numpy.linspace``, except that a NaN point's
+    payload is unspecified; one point is START itself, whatever STOP is.
+    Returns VALUES."""
     div = len(values) - 1
     if div == 0:
         values[0] = start
@@ -52,11 +54,6 @@ def _fill_linspace(values: array, start: float, stop: float) -> array:
             values[i] = i * step + start
     values[div] = stop
     return values
-
-
-def _linspace(start: float, stop: float, count: int) -> array:
-    """COUNT evenly spaced doubles from START to STOP, as ``_fill_linspace``."""
-    return _fill_linspace(array("d", [0.0]) * count, start, stop)
 
 
 def _parse_axis(spec: str) -> tuple[str, float, float, array]:
@@ -126,23 +123,10 @@ def _grid_is_valid(axes: dict[str, array], fixed: dict[str, float]) -> bool:
     )
 
 
-def _grid_indices(lengths: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Each row's point index on every axis, in row order (first axis outermost)."""
-    if not lengths:
-        yield ()
-        return
-    *outer, inner = lengths
-    for prefix in _grid_indices(outer):
-        for i in range(inner):
-            yield (*prefix, i)
-
-
 def _raise_first_invalid_point(axes: dict[str, array], fixed: dict[str, float]) -> None:
     """Name the first grid point, in row order, that a constructor rejects."""
-    for indices in _grid_indices(list(map(len, axes.values()))):
-        point = dict(fixed)
-        for (name, values), i in zip(axes.items(), indices):
-            point[name] = values[i]
+    for swept in product(*axes.values()):  # row order: first axis outermost
+        point = {**fixed, **dict(zip(axes, swept))}
         try:
             TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
             TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
@@ -176,7 +160,7 @@ def run(settings: Settings) -> int:
     lines: list[str] = []
     write = sys.stdout.write
     write(SWEEP_HEADER + "\n")
-    for indices in _grid_indices([len(values) for _, values in outer]):
+    for indices in product(*(range(len(values)) for _, values in outer)):
         for (slot, values), i in zip(outer, indices):
             point[slot] = values[i]
             fields[slot] = outer_text.get((slot, i)) or outer_text.setdefault(

@@ -258,7 +258,6 @@ def test_public_names_are_exactly_the_documented_surface():
         "cm_rational",
         "EncounterConfig",
         "RngStream",
-        "resolve_encounter",
         "TrialReport",
         "InvalidTrialCount",
         "estimate_eus",
@@ -269,6 +268,6 @@ def test_public_names_are_exactly_the_documented_surface():
         "interior_threshold",
         "__version__",
     }
-    assert len(dispositions_sim.__all__) == 27
+    assert len(dispositions_sim.__all__) == 26
     for name in dispositions_sim.__all__:
         getattr(dispositions_sim, name)

@@ -1,4 +1,5 @@
-"""Behavior of single encounters and the deterministic RNG stream."""
+"""Behavior of single encounters, as the scalar oracle resolves them, and of
+the deterministic RNG stream."""
 
 import math
 
@@ -13,7 +14,8 @@ from dispositions_sim.core import (
     TranslucencyParams,
     TranslucentPayoffs,
 )
-from dispositions_sim.encounter import EncounterConfig, RngStream, resolve_encounter
+from dispositions_sim.encounter import EncounterConfig, RngStream
+from scalar_oracle import resolve_encounter, uniform
 
 SM = Disposition.STRAIGHTFORWARD
 CM = Disposition.CONSTRAINED
@@ -43,17 +45,17 @@ class TestRngStream:
     def test_same_address_reproduces_sequence(self):
         a = RngStream(123, 7)
         b = RngStream(123, 7)
-        assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
+        assert [uniform(a) for _ in range(20)] == [uniform(b) for _ in range(20)]
 
     def test_distinct_stream_ids_differ(self):
         a = RngStream(123, 0)
         b = RngStream(123, 1)
-        assert [a.uniform() for _ in range(5)] != [b.uniform() for _ in range(5)]
+        assert [uniform(a) for _ in range(5)] != [uniform(b) for _ in range(5)]
 
     def test_batched_draws_match_scalar_draws(self):
         scalar = RngStream(9, 3)
         batched = RngStream(9, 3)
-        singles = [scalar.uniform() for _ in range(64)]
+        singles = [uniform(scalar) for _ in range(64)]
         assert batched.uniforms(64).tolist() == singles
         # Into a buffer: the draws fill out[:n] and continue the stream;
         # the rest of the buffer is left untouched.
@@ -84,8 +86,8 @@ class TestResolveEncounter:
         stream = RngStream(42, 0)
         resolve_encounter(SM, SM, cfg, stream)
         reference = RngStream(42, 0)
-        reference.uniform()  # skip the draw the encounter consumed
-        assert stream.uniform() == reference.uniform()
+        uniform(reference)  # skip the draw the encounter consumed
+        assert uniform(stream) == uniform(reference)
 
     def test_cm_vs_cm_certain_recognition_cooperates(self):
         cfg = make_config(p=1.0)

@@ -19,8 +19,8 @@ from dispositions_sim.montecarlo import (
     TrialReport,
     block_streams,
     estimate_eus,
-    run_trial,
 )
+from scalar_oracle import run_trial
 
 
 def make_config(v_nc=0.5, v_c=0.75, p=0.8, q=0.1, r=0.5):
@@ -31,9 +31,9 @@ def make_config(v_nc=0.5, v_c=0.75, p=0.8, q=0.1, r=0.5):
 
 
 def reference_report(cfg: EncounterConfig, n_trials: int, seed: int) -> TrialReport:
-    """Trial-by-trial estimator over resolve_encounter, used as the oracle
-    for the vectorized block kernel. Partitions trials into the same blocks
-    and streams as estimate_eus."""
+    """Trial-by-trial estimator over ``scalar_oracle.run_trial``, the check on
+    the vectorized block kernel. Partitions trials into the same blocks and
+    streams as estimate_eus."""
     cm_counts: Counter = Counter()
     sm_counts: Counter = Counter()
     start = 0
@@ -97,10 +97,21 @@ def test_trial_report_record_contract(record_contract):
     )
 
 
+# Each probability at 0 and at 1, where a draw's ``u < p`` test is never or
+# always true, besides an interior point.
+SCALAR_EQUIVALENCE_POINTS = {
+    "interior": {},
+    **{f"{name}={value}": {name: value} for name in "pqr" for value in (0.0, 1.0)},
+}
+
+
 class TestScalarEquivalence:
-    def test_single_block_matches_trial_loop(self):
-        """Vectorized counts equal resolving each trial with resolve_encounter."""
-        cfg = make_config(v_nc=0.37, v_c=0.81, p=0.6, q=0.3, r=0.45)
+    @pytest.mark.parametrize(
+        "changes", SCALAR_EQUIVALENCE_POINTS.values(), ids=SCALAR_EQUIVALENCE_POINTS.keys()
+    )
+    def test_single_block_matches_trial_loop(self, changes):
+        """Vectorized counts equal resolving each trial with the scalar oracle."""
+        cfg = make_config(v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
         report = estimate_eus(cfg, 10_000, seed=97)
         reference = reference_report(cfg, 10_000, seed=97)
         assert report.outcome_histogram == reference.outcome_histogram
