@@ -2,12 +2,12 @@
 
 Each grid point costs a few float operations, so the grid is walked in plain
 Python with the scalar closed forms of ``analytic`` and imports no numpy.
-Per-run storage is one ``array('d')`` per axis, plus the tuples that
-``itertools.product`` keeps of the axes it walks, so memory grows with the
-axis lengths, not with the number of rows.
+Per-run storage is one ``array('d')`` per swept axis, plus the index tuples
+that ``itertools.product`` keeps of the outer axes that vary: memory grows
+with the axis lengths, not with the number of rows.
 
-``run`` validates the whole grid before it writes the first byte, then
-computes and streams the rows in fixed-size chunks.
+``run`` validates the whole grid before it writes the first byte (a rejected
+grid walks no rows), then computes and streams the rows in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ def _parse_axis(spec: str) -> tuple[str, float, float, array]:
         raise InvalidInput(f"axis {name!r} has too many points: {count}") from None
 
 
-def build_sweep_grid(settings: Settings) -> tuple[dict[str, array], dict[str, float]]:
-    """The swept parameters' values in command-line order, and the others' values."""
+def build_sweep_grid(settings: Settings) -> dict[str, Sequence[float]]:
+    """Each parameter's values, in row order (first axis outermost): the fixed
+    flags as one-point axes in PARAM_NAMES order, then the swept axes in command-line order."""
     axis_specs = settings.get("axis", [])
     if not axis_specs:
         raise InvalidInput("sweep needs at least one --axis NAME=START:STOP:COUNT")
@@ -96,61 +97,60 @@ def build_sweep_grid(settings: Settings) -> tuple[dict[str, array], dict[str, fl
     for _, start, stop, values in parsed:
         _fill_linspace(values, start, stop)
 
-    fixed: dict[str, float] = {}
-    for param in PARAM_NAMES:
-        flag = _FLAG_FOR_PARAM[param]
-        if param in axes:
-            if flag in settings.maps[0]:
-                raise InvalidInput(
-                    f"parameter {param} is swept by an axis; drop the --{flag} flag"
-                )
-            continue
-        fixed[param] = settings[flag]
-    return axes, fixed
+    grid: dict[str, Sequence[float]] = {}
+    for param, flag in _FLAG_FOR_PARAM.items():
+        if param not in axes:
+            grid[param] = (settings[flag],)
+        elif flag in settings.maps[0]:
+            raise InvalidInput(f"parameter {param} is swept by an axis; drop the --{flag} flag")
+    return grid | axes
 
 
-def _grid_is_valid(axes: dict[str, array], fixed: dict[str, float]) -> bool:
-    """Whether both constructors accept every grid point, decided from each
-    parameter's values once: p, q and r lie in [0, 1], and every v_noncoop is
-    below every v_coop inside (0, 1), which, with no NaN, holds iff the
-    largest v_noncoop is below the smallest v_coop."""
-    values: dict[str, Sequence[float]] = {**{k: (v,) for k, v in fixed.items()}, **axes}
-    lows, highs = values["v_noncoop"], values["v_coop"]
+def _grid_is_valid(grid: dict[str, Sequence[float]]) -> bool:
+    """Whether both constructors accept every grid point, decided from each parameter's
+    values once: p, q and r lie in [0, 1], and every v_noncoop is below every v_coop inside
+    (0, 1), which, with no NaN, holds iff the largest v_noncoop is below the smallest v_coop."""
+    lows, highs = grid["v_noncoop"], grid["v_coop"]
     return (
-        all(map(_in_unit_interval, chain(values["p"], values["q"], values["r"])))
+        all(map(_in_unit_interval, chain(grid["p"], grid["q"], grid["r"])))
         and all(0.0 < v < 1.0 for v in chain(lows, highs))
         and max(lows) < min(highs)
     )
 
 
-def _raise_first_invalid_point(axes: dict[str, array], fixed: dict[str, float]) -> None:
-    """Name the first grid point, in row order, that a constructor rejects."""
-    for swept in product(*axes.values()):  # row order: first axis outermost
-        point = {**fixed, **dict(zip(axes, swept))}
-        try:
-            TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
-            TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
-        except InvalidInput as exc:
-            shown = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
-            raise InvalidInput(f"invalid grid point ({shown}): {exc}") from exc
+def _raise_first_invalid_point(grid: dict[str, Sequence[float]]) -> None:
+    """Name the first point, in row order, of a grid that ``_grid_is_valid`` rejects:
+    each axis, outermost first, is pinned to the first value whose sub-grid (earlier
+    axes pinned, later ones whole) is invalid, so no row is walked."""
+    pinned = dict(grid)
+    for name, values in grid.items():
+        pinned[name] = next((v,) for v in values if not _grid_is_valid({**pinned, name: (v,)}))
+    point = {name: value for name, (value,) in pinned.items()}
+    try:
+        TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
+        TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
+    except InvalidInput as exc:
+        shown = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
+        raise InvalidInput(f"invalid grid point ({shown}): {exc}") from exc
 
 
 def run(settings: Settings) -> int:
     """Write the sweep CSV of the grid that ``settings`` describes."""
-    axes, fixed = build_sweep_grid(settings)
+    grid = build_sweep_grid(settings)
 
     # Validate the whole grid before emitting anything: a bad point must
-    # fail the run, not cut the output short. The first bad point in row
-    # order goes through the constructors, whose message names the fault.
-    if not _grid_is_valid(axes, fixed):
-        _raise_first_invalid_point(axes, fixed)
+    # fail the run, not cut the output short.
+    if not _grid_is_valid(grid):
+        _raise_first_invalid_point(grid)
 
-    # One row's parameters and their text, in PARAM_NAMES order. The walk
-    # overwrites the swept slots: the outer axes' once per run of the
-    # innermost axis, which varies fastest, and the innermost axis's per row.
-    point = [fixed.get(name) for name in PARAM_NAMES]
-    fields = [_fmt(fixed[name]) if name in fixed else "" for name in PARAM_NAMES]
-    *outer, (inner_slot, inner) = [(PARAM_NAMES.index(k), v) for k, v in axes.items()]
+    # One row's parameters and their text, in PARAM_NAMES order, each at its
+    # axis's first value. Only axes of more than one point (else the last axis)
+    # are walked: the outer ones' slots are overwritten once per run of the
+    # innermost axis, which varies fastest, and the innermost's once per row.
+    point = [grid[name][0] for name in PARAM_NAMES]
+    fields = list(map(_fmt, point))
+    slots = [(PARAM_NAMES.index(k), v) for k, v in grid.items()]
+    *outer, (inner_slot, inner) = [s for s in slots if len(s[1]) > 1] or slots[-1:]
     # Each chunk formats a distinct value once. Axis text is keyed by slot and
     # point index, as a float key would merge 0.0 and -0.0; the computed
     # values are never -0.0, so they share one cache keyed by value.

@@ -46,6 +46,7 @@ class TestRngStream:
         a = RngStream(123, 7)
         b = RngStream(123, 7)
         assert [uniform(a) for _ in range(20)] == [uniform(b) for _ in range(20)]
+        assert repr(RngStream(3, 7)) == "RngStream(seed=3, stream_id=7)"
 
     def test_distinct_stream_ids_differ(self):
         a = RngStream(123, 0)

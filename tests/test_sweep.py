@@ -1,6 +1,6 @@
 """Sweep output contract: golden bytes, axes equal to numpy's linspace, a
-point-by-point reference, the invalid-point message, and memory that does
-not grow with the row count."""
+point-by-point reference, the invalid-point message, and memory that grows
+with the axis lengths, by about a double per point, not with the row count."""
 
 import contextlib
 import hashlib
@@ -160,25 +160,22 @@ def test_output_spanning_many_chunks_matches_golden_digest():
 
 
 _coordinate = st.floats(min_value=-0.25, max_value=1.25, allow_nan=False)
+_fixed = {"v_noncoop": st.floats(0.01, 0.49), "v_coop": st.floats(0.51, 0.99),
+          **dict.fromkeys(("p", "q", "r"), st.floats(0.0, 1.0))}
+# Flag values at and past the bounds of a range. NaN is drawn for flags only:
+# as an axis endpoint it would make the reference's linspace warn.
+_edge = st.sampled_from([0.0, -0.0, 1.0, -0.25, 1.25, math.nan])
 
 
 @st.composite
 def grids(draw):
     names = draw(st.lists(st.sampled_from(PARAM_NAMES), min_size=1, max_size=3, unique=True))
-    axes = [
-        (name, draw(_coordinate), draw(_coordinate), draw(st.integers(1, 6)))
-        for name in names
-    ]
-    fixed = {}
-    for name in PARAM_NAMES:
-        if name in names:
-            continue
-        if name == "v_noncoop":
-            fixed[name] = draw(st.floats(0.01, 0.49))
-        elif name == "v_coop":
-            fixed[name] = draw(st.floats(0.51, 0.99))
-        else:
-            fixed[name] = draw(st.floats(0.0, 1.0))
+    # One-point axes are common: the row walk skips them.
+    counts = st.one_of(st.just(1), st.integers(2, 6))
+    axes = [(name, draw(_coordinate), draw(_coordinate), draw(counts)) for name in names]
+    fixed = {name: draw(_fixed[name]) for name in PARAM_NAMES if name not in names}
+    if fixed and draw(st.booleans()):
+        fixed[draw(st.sampled_from(sorted(fixed)))] = draw(_edge)
     return fixed, axes
 
 
@@ -189,7 +186,7 @@ def grids(draw):
           [("p", 0.0, 0.0, 1)]))
 @example(({"q": 0.0, "r": 5e-324, "v_noncoop": 0.25, "v_coop": 0.75},
           [("p", 0.0, 0.0, 1)]))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(grids())
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_matches_point_by_point_reference(grid):
@@ -283,25 +280,51 @@ print(code, peak.split()[1], file=sys.stderr)
 """
 
 
-def _sweep_peak_rss_kib(p_count, r_count):
+def _sweep_peak_rss_kib(argv, expected_code):
+    """Peak RSS, in KiB, of a ``sweep`` run in a fresh interpreter."""
     result = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_CHILD, "sweep",
-         "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
-         "--axis", f"p=0:1:{p_count}", "--axis", f"r=0:1:{r_count}"],
+        [sys.executable, "-c", _PEAK_RSS_CHILD, "sweep", *argv],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
-        check=True,
     )
-    code, peak_kib = result.stderr.split()
-    assert code == "0"
+    code, peak_kib = result.stderr.splitlines()[-1].split()
+    assert code == str(expected_code), result.stderr
     return int(peak_kib)
 
 
-@pytest.mark.skipif(
+needs_procfs = pytest.mark.skipif(
     not Path("/proc/self/status").exists(), reason="needs VmHWM from procfs"
 )
+
+
+@needs_procfs
 def test_sweep_memory_does_not_grow_with_row_count():
-    small = _sweep_peak_rss_kib(100, 100)  # 10^4 rows
-    large = _sweep_peak_rss_kib(400, 500)  # 2 x 10^5 rows
+    def grid(p_count, r_count):
+        return ["--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
+                "--axis", f"p=0:1:{p_count}", "--axis", f"r=0:1:{r_count}"]
+
+    small = _sweep_peak_rss_kib(grid(100, 100), 0)  # 10^4 rows
+    large = _sweep_peak_rss_kib(grid(400, 500), 0)  # 2 x 10^5 rows
     assert abs(large - small) < 4 * 1024, (small, large)
+
+
+@needs_procfs
+@pytest.mark.parametrize(
+    "argv, expected_code, counts",
+    [
+        # A rejected grid is searched axis by axis, not walked row by row.
+        (["--p", "0.8", "--q", "0.1", "--axis", "r=-1:1:{}"], 2, (250_000, 2_500_000)),
+        # The one-point axis is not walked, so the long axis is the innermost.
+        (["--q", "0.1", "--axis", "r=0:1:{}", "--axis", "p=0:0:1"], 0, (40_000, 400_000)),
+    ],
+    ids=["rejected-grid", "one-point-inner-axis"],
+)
+def test_sweep_memory_per_axis_point_is_about_the_axis_itself(argv, expected_code, counts):
+    """An axis point costs its 8-byte double, not a Python object per point."""
+    small, large = (
+        _sweep_peak_rss_kib(["--vnc", "0.5", "--vc", "0.75", *(a.format(n) for a in argv)],
+                            expected_code)
+        for n in counts
+    )
+    assert (large - small) * 1024 < 16 * (counts[1] - counts[0]), (small, large)
