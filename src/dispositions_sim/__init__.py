@@ -10,8 +10,8 @@ from .analytic import (
     translucent_eu_cm, translucent_eu_sm,
 )
 from .core import (
-    Disposition, InvalidInput, InvalidProbability, OrderingViolation, OutcomeClass,
-    TranslucencyParams, TranslucentPayoffs, TransparentPayoffs,
+    InvalidInput, InvalidProbability, OrderingViolation, TranslucencyParams,
+    TranslucentPayoffs, TransparentPayoffs,
 )
 from .dynamics import (
     Trajectory, TrajectoryStep, evolve, interior_threshold, replicator_step,
@@ -38,8 +38,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "Disposition",
-    "OutcomeClass",
     "TransparentPayoffs",
     "TranslucentPayoffs",
     "TranslucencyParams",

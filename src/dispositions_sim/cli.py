@@ -161,9 +161,7 @@ def cmd_simulate(settings: Settings) -> int:
         "mean_payoff_sm": report.mean_payoff_sm,
         "stderr_cm": report.stderr_cm,
         "stderr_sm": report.stderr_sm,
-        "outcome_histogram": {
-            kind.value: count for kind, count in report.outcome_histogram.items()
-        },
+        "outcome_histogram": report.outcome_histogram,
         "analytic_eu_cm": eu_cm,
         "analytic_eu_sm": eu_sm,
         "deviation_cm": abs(report.mean_payoff_cm - eu_cm),
@@ -237,6 +235,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         label = "error" if type(exc) is InvalidInput else type(exc).__name__
         print(f"{label}: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

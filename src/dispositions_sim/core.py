@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 
 
 class InvalidInput(ValueError):
@@ -33,28 +32,6 @@ class OrderingViolation(InvalidInput):
 
 class InvalidProbability(InvalidInput):
     """A probability lies outside the closed interval [0, 1]."""
-
-
-class Disposition(Enum):
-    """How an agent chooses in a one-shot encounter.
-
-    A straightforward maximizer always plays the individually best reply.
-    A constrained maximizer plays the cooperative joint strategy with
-    partners it recognizes as like-disposed and reverts to the individual
-    strategy otherwise.
-    """
-
-    STRAIGHTFORWARD = "sm"
-    CONSTRAINED = "cm"
-
-
-class OutcomeClass(Enum):
-    """The four ways a pairwise encounter can resolve for one agent."""
-
-    NON_COOPERATION = "non_cooperation"
-    COOPERATION = "cooperation"
-    DEFECTION = "defection"
-    EXPLOITATION = "exploitation"
 
 
 def _in_unit_interval(value: float) -> bool:

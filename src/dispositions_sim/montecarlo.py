@@ -34,7 +34,7 @@ from math import sqrt
 
 import numpy as np
 
-from .core import InvalidInput, OutcomeClass, _Record
+from .core import InvalidInput, _Record
 from .encounter import EncounterConfig, RngStream
 
 BLOCK_TRIALS = 65_536
@@ -52,9 +52,11 @@ _REPORT_FIELDS = "n_trials mean_payoff_cm mean_payoff_sm stderr_cm stderr_sm out
 class TrialReport(_Record, namedtuple("TrialReport", _REPORT_FIELDS)):
     """Aggregated estimates from one Monte Carlo run.
 
-    ``outcome_histogram`` counts the focal agent's outcome class over all
-    resolved encounters (two per trial), so its values sum to
-    2 * n_trials. Being a dict, it leaves the report unhashable.
+    ``outcome_histogram`` counts the focal agent's outcomes over all
+    resolved encounters (two per trial), keyed ``"non_cooperation"``,
+    ``"cooperation"``, ``"defection"`` and ``"exploitation"`` in that order,
+    so its values sum to 2 * n_trials. Being a dict, it leaves the report
+    unhashable.
     """
 
     __slots__ = ()
@@ -218,10 +220,10 @@ def estimate_eus(
     )
 
     histogram = {
-        OutcomeClass.NON_COOPERATION: cm_noncoop + sm_noncoop,
-        OutcomeClass.COOPERATION: cm_coop,
-        OutcomeClass.DEFECTION: sm_defect,
-        OutcomeClass.EXPLOITATION: cm_exploited,
+        "non_cooperation": cm_noncoop + sm_noncoop,
+        "cooperation": cm_coop,
+        "defection": sm_defect,
+        "exploitation": cm_exploited,
     }
 
     return TrialReport(

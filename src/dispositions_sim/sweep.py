@@ -121,8 +121,10 @@ def _grid_is_valid(grid: dict[str, Sequence[float]]) -> bool:
 def _raise_first_invalid_point(grid: dict[str, Sequence[float]]) -> None:
     """Name the first point, in row order, of a grid that ``_grid_is_valid`` rejects:
     each axis, outermost first, is pinned to the first value whose sub-grid (earlier
-    axes pinned, later ones whole) is invalid, so no row is walked."""
-    pinned = dict(grid)
+    axes pinned, later ones whole) is invalid, so no row is walked. A whole axis is
+    checked as what decides the rule, a NaN if it holds one, else its two extremes."""
+    pinned = {k: (math.nan,) if any(map(math.isnan, v)) else (min(v), max(v))
+              for k, v in grid.items()}
     for name, values in grid.items():
         pinned[name] = next((v,) for v in values if not _grid_is_valid({**pinned, name: (v,)}))
     point = {name: value for name, (value,) in pinned.items()}

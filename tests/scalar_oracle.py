@@ -11,7 +11,6 @@ random numbers when only the disposition assignment changes, which
 stabilizes paired comparisons across experiment variants.
 """
 
-from dispositions_sim.core import Disposition, OutcomeClass
 from dispositions_sim.encounter import EncounterConfig, RngStream
 
 
@@ -21,12 +20,14 @@ def uniform(rng: RngStream) -> float:
 
 
 def resolve_encounter(
-    a: Disposition,
-    b: Disposition,
+    a: str,
+    b: str,
     cfg: EncounterConfig,
     rng: RngStream,
-) -> tuple[OutcomeClass, OutcomeClass]:
-    """Resolve one encounter to the outcome classes (of a, of b).
+) -> tuple[str, str]:
+    """Resolve one encounter between dispositions A and B, each ``"cm"``
+    (constrained) or ``"sm"`` (straightforward), to the outcomes (of a, of b):
+    the ``TrialReport.outcome_histogram`` keys.
 
     Cases:
       * both straightforward: mutual non-cooperation (one draw consumed
@@ -39,21 +40,21 @@ def resolve_encounter(
         to mutual non-cooperation.
     """
     draw = uniform(rng)
-    noncoop = OutcomeClass.NON_COOPERATION, OutcomeClass.NON_COOPERATION
+    noncoop = "non_cooperation", "non_cooperation"
 
-    if a is Disposition.STRAIGHTFORWARD and b is Disposition.STRAIGHTFORWARD:
+    if a == "sm" and b == "sm":
         return noncoop
 
-    if a is Disposition.CONSTRAINED and b is Disposition.CONSTRAINED:
+    if a == "cm" and b == "cm":
         if draw < cfg.params.p:
-            return OutcomeClass.COOPERATION, OutcomeClass.COOPERATION
+            return "cooperation", "cooperation"
         return noncoop
 
     # Mixed pair: exploitation happens with probability q.
     if draw < cfg.params.q:
-        if a is Disposition.CONSTRAINED:
-            return OutcomeClass.EXPLOITATION, OutcomeClass.DEFECTION
-        return OutcomeClass.DEFECTION, OutcomeClass.EXPLOITATION
+        if a == "cm":
+            return "exploitation", "defection"
+        return "defection", "exploitation"
     return noncoop
 
 
@@ -62,19 +63,15 @@ def run_trial(
     partner_rng: RngStream,
     cm_rng: RngStream,
     sm_rng: RngStream,
-) -> tuple[OutcomeClass, OutcomeClass]:
-    """Resolve one trial's two encounters, returning the focal outcome classes.
+) -> tuple[str, str]:
+    """Resolve one trial's two encounters, returning the focal outcomes.
 
     This is the scalar definition the vectorized blocks must agree with:
     sample the partner disposition once, then resolve the encounter with
     the focal agent constrained and again straightforward, on independent
     recognition streams.
     """
-    partner = (
-        Disposition.CONSTRAINED
-        if uniform(partner_rng) < cfg.params.r
-        else Disposition.STRAIGHTFORWARD
-    )
-    cm_outcome, _ = resolve_encounter(Disposition.CONSTRAINED, partner, cfg, cm_rng)
-    sm_outcome, _ = resolve_encounter(Disposition.STRAIGHTFORWARD, partner, cfg, sm_rng)
+    partner = "cm" if uniform(partner_rng) < cfg.params.r else "sm"
+    cm_outcome, _ = resolve_encounter("cm", partner, cfg, cm_rng)
+    sm_outcome, _ = resolve_encounter("sm", partner, cfg, sm_rng)
     return cm_outcome, sm_outcome

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dispositions_sim import cli
 from dispositions_sim.cli import main
 from dispositions_sim.sweep import SWEEP_HEADER
 
@@ -532,6 +533,17 @@ class TestBrokenPipe:
         code = proc.wait(timeout=60)
         assert header == (SWEEP_HEADER + "\n").encode()
         assert (code, err) == (0, b"")
+
+
+def test_unexpected_exception_exits_1_with_one_internal_error_line(monkeypatch, capsys):
+    """An error that is not a bad input is a bug: exit 1, naming its type."""
+
+    def boom(settings):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_analytic", boom)
+    code, out, err = run_cli(["analytic", *REFERENCE_FLAGS, "--r", "0.5"], capsys)
+    assert (code, out, err) == (1, "", "internal error: RuntimeError: boom\n")
 
 
 class TestDeterminism:

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 import dispositions_sim
 from dispositions_sim.analytic import EuComparison
 from dispositions_sim.core import (
-    Disposition,
     InvalidInput,
     InvalidProbability,
     OrderingViolation,
-    OutcomeClass,
     TranslucencyParams,
     TranslucentPayoffs,
     TransparentPayoffs,
@@ -172,7 +170,7 @@ RECORDS = VALIDATED_RECORDS + [
     TrajectoryStep(0, 0.5, 0.575, 0.525),
     Trajectory((TrajectoryStep(0, 0.5, 0.575, 0.525),)),
     EncounterConfig(TranslucentPayoffs(0.5, 0.75), TranslucencyParams(0.8, 0.1, 0.5)),
-    TrialReport(2, 0.5, 0.75, 0.0, 0.25, {OutcomeClass.NON_COOPERATION: 4}),
+    TrialReport(2, 0.5, 0.75, 0.0, 0.25, {"non_cooperation": 4}),
 ]
 
 
@@ -225,24 +223,9 @@ def test_replace_and_make_check_like_the_constructor(case):
     assert _built(lambda: cls._make(iter(values))) == expected
 
 
-def test_disposition_has_exactly_two_variants():
-    assert {d.name for d in Disposition} == {"STRAIGHTFORWARD", "CONSTRAINED"}
-
-
-def test_outcome_class_has_exactly_four_variants():
-    assert {o.name for o in OutcomeClass} == {
-        "NON_COOPERATION",
-        "COOPERATION",
-        "DEFECTION",
-        "EXPLOITATION",
-    }
-
-
 def test_public_names_are_exactly_the_documented_surface():
     """Adding or dropping a public name is a deliberate API change."""
     assert set(dispositions_sim.__all__) == {
-        "Disposition",
-        "OutcomeClass",
         "TransparentPayoffs",
         "TranslucentPayoffs",
         "TranslucencyParams",
@@ -268,6 +251,6 @@ def test_public_names_are_exactly_the_documented_surface():
         "interior_threshold",
         "__version__",
     }
-    assert len(dispositions_sim.__all__) == 26
+    assert len(dispositions_sim.__all__) == 24
     for name in dispositions_sim.__all__:
         getattr(dispositions_sim, name)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dispositions_sim.analytic import translucent_eu_cm, translucent_eu_sm
-from dispositions_sim.core import OutcomeClass, TranslucencyParams, TranslucentPayoffs
+from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.encounter import EncounterConfig
 from dispositions_sim import montecarlo
 from dispositions_sim.montecarlo import (
@@ -49,12 +49,8 @@ def reference_report(cfg: EncounterConfig, n_trials: int, seed: int) -> TrialRep
         block_index += 1
 
     v_nc, v_c = cfg.payoffs.v_noncoop, cfg.payoffs.v_coop
-    payoff_cm = {
-        OutcomeClass.NON_COOPERATION: v_nc,
-        OutcomeClass.COOPERATION: v_c,
-        OutcomeClass.EXPLOITATION: 0.0,
-    }
-    payoff_sm = {OutcomeClass.NON_COOPERATION: v_nc, OutcomeClass.DEFECTION: 1.0}
+    payoff_cm = {"non_cooperation": v_nc, "cooperation": v_c, "exploitation": 0.0}
+    payoff_sm = {"non_cooperation": v_nc, "defection": 1.0}
 
     def stats(counts, payoff_of):
         values = [payoff_of[kind] for kind in counts for _ in range(counts[kind])]
@@ -66,7 +62,8 @@ def reference_report(cfg: EncounterConfig, n_trials: int, seed: int) -> TrialRep
     mean_cm, stderr_cm = stats(cm_counts, payoff_cm)
     mean_sm, stderr_sm = stats(sm_counts, payoff_sm)
     histogram = {
-        kind: cm_counts.get(kind, 0) + sm_counts.get(kind, 0) for kind in OutcomeClass
+        kind: cm_counts.get(kind, 0) + sm_counts.get(kind, 0)
+        for kind in ("non_cooperation", "cooperation", "defection", "exploitation")
     }
     return TrialReport(
         n_trials=n_trials,
@@ -88,11 +85,10 @@ def test_trial_report_record_contract(record_contract):
             "mean_payoff_sm": 0.75,
             "stderr_cm": 0.0,
             "stderr_sm": 0.25,
-            "outcome_histogram": {OutcomeClass.NON_COOPERATION: 3, OutcomeClass.DEFECTION: 1},
+            "outcome_histogram": {"non_cooperation": 3, "defection": 1},
         },
         "TrialReport(n_trials=2, mean_payoff_cm=0.5, mean_payoff_sm=0.75, stderr_cm=0.0, "
-        "stderr_sm=0.25, outcome_histogram={<OutcomeClass.NON_COOPERATION: 'non_cooperation'>: 3, "
-        "<OutcomeClass.DEFECTION: 'defection'>: 1})",
+        "stderr_sm=0.25, outcome_histogram={'non_cooperation': 3, 'defection': 1})",
         hashable=False,
     )
 
@@ -140,13 +136,13 @@ class TestDegenerateConfigs:
         assert report.mean_payoff_sm == 0.43
         assert report.stderr_cm == 0.0
         assert report.stderr_sm == 0.0
-        assert report.outcome_histogram[OutcomeClass.NON_COOPERATION] == 20_000
+        assert report.outcome_histogram["non_cooperation"] == 20_000
 
     def test_certain_cooperation_is_exact(self):
         cfg = make_config(v_nc=0.5, v_c=0.75, p=1.0, q=0.0, r=1.0)
         report = estimate_eus(cfg, 10_000, seed=1)
         assert report.mean_payoff_cm == 0.75
-        assert report.outcome_histogram[OutcomeClass.COOPERATION] == 10_000
+        assert report.outcome_histogram["cooperation"] == 10_000
 
 
 class TestDeterminism:
@@ -296,12 +292,16 @@ class TestOracleAgreement:
             assert report.stderr_cm >= 0.0 and report.stderr_sm >= 0.0
 
     def test_histogram_consistency(self):
-        """Cooperation frequency tracks r*p; counts cover every encounter."""
+        """Cooperation frequency tracks r*p; counts cover every encounter, under
+        the four outcome keys in their JSON order."""
         cfg = make_config(p=0.8, q=0.1, r=0.5)
         n = 10**5
         report = estimate_eus(cfg, n, seed=5)
+        assert list(report.outcome_histogram) == [
+            "non_cooperation", "cooperation", "defection", "exploitation"
+        ]
         assert sum(report.outcome_histogram.values()) == 2 * n
-        coop_rate = report.outcome_histogram[OutcomeClass.COOPERATION] / n
+        coop_rate = report.outcome_histogram["cooperation"] / n
         rp = cfg.params.r * cfg.params.p
         half_width = 2.576 * np.sqrt(rp * (1 - rp) / n)
         assert abs(coop_rate - rp) <= half_width

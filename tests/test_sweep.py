@@ -199,6 +199,11 @@ def test_sweep_matches_point_by_point_reference(grid):
         assert (code, out, err) == (0, expected, "")
 
 
+# The first bad row is the last of 160 000: only v_noncoop=0.5 meets v_coop=0.5.
+LAST_ROW_INVALID_ARGV = ["--p", "0.8", "--q", "0.1", "--r", "0.5",
+                         "--axis", "v_noncoop=0.1:0.5:400", "--axis", "v_coop=0.5:0.9:400"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -223,6 +228,11 @@ def test_sweep_matches_point_by_point_reference(grid):
             "(p=0.0, q=0.1, r=0.5, v_noncoop=0.6, v_coop=0.55): "
             "require 0 < v_noncoop < v_coop < 1, got 0.6, 0.55",
         ),
+        (
+            LAST_ROW_INVALID_ARGV,
+            "(p=0.8, q=0.1, r=0.5, v_noncoop=0.5, v_coop=0.5): "
+            "require 0 < v_noncoop < v_coop < 1, got 0.5, 0.5",
+        ),
     ],
 )
 def test_first_invalid_point_in_row_order_is_named(argv, message):
@@ -230,6 +240,23 @@ def test_first_invalid_point_in_row_order_is_named(argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: invalid grid point {message}\n"
+
+
+def test_finding_the_first_invalid_point_reads_each_axis_a_bounded_number_of_times(
+    monkeypatch,
+):
+    """Each check of a candidate point reads at most two values of a whole axis,
+    not the axis itself, so naming the bad point is linear in the axis points."""
+    is_valid, scanned = sweep._grid_is_valid, []
+
+    def spy(grid):
+        scanned.append(sum(map(len, grid.values())))
+        return is_valid(grid)
+
+    monkeypatch.setattr(sweep, "_grid_is_valid", spy)
+    assert run_sweep(LAST_ROW_INVALID_ARGV)[0] == 2
+    axis_points = 3 + 400 + 400
+    assert sum(scanned) <= 8 * axis_points, sum(scanned)
 
 
 # Three 16 MiB axes whose 2**63 rows pass the signed 64-bit row bound.
