@@ -21,7 +21,6 @@ import math
 from collections import namedtuple
 
 from .core import (
-    InvalidInput,
     TranslucencyParams,
     TranslucentPayoffs,
     TransparentPayoffs,
@@ -30,26 +29,23 @@ from .core import (
 )
 
 
-class EuComparison(
-    _Record, namedtuple("EuComparison", "eu_sm eu_cm cm_is_rational margin")
-):
+class EuComparison(_Record, namedtuple("EuComparison", "eu_sm eu_cm")):
     """Expected utilities of the two dispositions and their comparison.
 
-    ``margin`` is eu_cm - eu_sm; ``cm_is_rational`` holds iff the margin
-    is strictly positive.
+    Only the utilities are stored: ``margin`` (eu_cm - eu_sm) and
+    ``cm_is_rational`` (the margin is strictly positive; a tie is not
+    rational) are derived on each read, so neither can contradict them.
     """
 
     __slots__ = ()
 
-    def __new__(cls, eu_sm: float, eu_cm: float, cm_is_rational: bool, margin: float):
-        if cm_is_rational != (margin > 0.0):
-            raise InvalidInput(f"cm_is_rational={cm_is_rational} contradicts margin={margin!r}")
-        return super().__new__(cls, eu_sm, eu_cm, cm_is_rational, margin)
+    @property
+    def margin(self) -> float:
+        return self.eu_cm - self.eu_sm
 
-    @classmethod
-    def of(cls, eu_sm: float, eu_cm: float) -> "EuComparison":
-        margin = eu_cm - eu_sm
-        return cls(eu_sm, eu_cm, margin > 0.0, margin)
+    @property
+    def cm_is_rational(self) -> bool:
+        return self.margin > 0.0
 
 
 def argument1_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
@@ -66,7 +62,7 @@ def argument1_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     check_probability("p", p)
     eu_sm = p * pay.u_temptation + (1.0 - p) * pay.u_both_defect
     eu_cm = p * pay.u_coop + (1.0 - p) * pay.u_both_defect
-    return EuComparison.of(eu_sm=eu_sm, eu_cm=eu_cm)
+    return EuComparison(eu_sm=eu_sm, eu_cm=eu_cm)
 
 
 def argument2_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
@@ -81,7 +77,7 @@ def argument2_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     check_probability("p", p)
     eu_sm = pay.u_both_defect
     eu_cm = p * pay.u_coop + (1.0 - p) * pay.u_both_defect
-    return EuComparison.of(eu_sm=eu_sm, eu_cm=eu_cm)
+    return EuComparison(eu_sm=eu_sm, eu_cm=eu_cm)
 
 
 # The closed forms, written once for every caller: the public functions below,
@@ -148,7 +144,7 @@ def cm_rational(pay: TranslucentPayoffs, t: TranslucencyParams) -> EuComparison:
     boolean is computed from the margin directly so that q = 0, where the
     ratio form is undefined, needs no special-casing.
     """
-    return EuComparison.of(
+    return EuComparison(
         eu_sm=translucent_eu_sm(pay, t),
         eu_cm=translucent_eu_cm(pay, t),
     )

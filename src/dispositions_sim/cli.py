@@ -129,7 +129,7 @@ def _settings(args: argparse.Namespace) -> Settings:
     return Settings(given, defaults)
 
 
-def cmd_analytic(settings: Settings) -> int:
+def cmd_analytic(settings: Settings) -> None:
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])
     comparison = cm_rational(pay, t)
@@ -141,10 +141,9 @@ def cmd_analytic(settings: Settings) -> int:
         "cm_rational": comparison.cm_is_rational,
     }
     print(json.dumps(record))
-    return 0
 
 
-def cmd_simulate(settings: Settings) -> int:
+def cmd_simulate(settings: Settings) -> None:
     from .encounter import EncounterConfig
     from .montecarlo import estimate_eus
 
@@ -168,16 +167,15 @@ def cmd_simulate(settings: Settings) -> int:
         "deviation_sm": abs(report.mean_payoff_sm - eu_sm),
     }
     print(json.dumps(record))
-    return 0
 
 
-def cmd_sweep(settings: Settings) -> int:
+def cmd_sweep(settings: Settings) -> None:
     from . import sweep
 
-    return sweep.run(settings)
+    sweep.run(settings)
 
 
-def cmd_evolve(settings: Settings) -> int:
+def cmd_evolve(settings: Settings) -> None:
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t0 = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r0"])
     steps = evolve(pay, t0, settings["generations"]).steps
@@ -186,7 +184,6 @@ def cmd_evolve(settings: Settings) -> int:
     threshold = interior_threshold(pay, t0.p, t0.q)
     if threshold is not None:
         print("# " + json.dumps({"interior_threshold": threshold}))
-    return 0
 
 
 def build_parser() -> Parser:
@@ -222,9 +219,9 @@ def build_parser() -> Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.handler(_settings(args))
+        args.handler(_settings(args))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # The reader closed stdout early (``| head``). Stop quietly, and
         # point stdout at devnull so the flush at exit cannot fail again.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .analytic import _eu_cm, _eu_sm, translucent_eu_cm, translucent_eu_sm
+from .analytic import EuComparison, _eu_cm, _eu_sm, translucent_eu_cm, translucent_eu_sm
 from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _Record
 
 CONVERGENCE_TOL = 1e-12
@@ -93,21 +93,21 @@ def evolve(
 def interior_threshold(
     pay: TranslucentPayoffs, p: float, q: float
 ) -> float | None:
-    """Interior root of EU_cm(r) = EU_sm(r), or None if the sign is constant.
+    """Interior root of EU_cm(r) = EU_sm(r), or None if there is none.
 
-    The margin EU_cm - EU_sm is linear in r. A root exists when the margin
-    is nonzero at r = 0 and r = 1 with opposite signs, and it is then
+    The margin EU_cm - EU_sm is linear in r. A root exists when it is negative
+    at r = 0 and positive (``cm_is_rational``) at r = 1, and it is then
 
         q * v_noncoop / (p * (v_coop - v_noncoop) - q * (1 - 2 * v_noncoop)),
 
     the unstable threshold separating extinction from fixation of the
     constrained disposition.
     """
-    m_lo, m_hi = (
-        translucent_eu_cm(pay, t) - translucent_eu_sm(pay, t)
+    lo, hi = (
+        EuComparison(translucent_eu_sm(pay, t), translucent_eu_cm(pay, t))
         for t in (TranslucencyParams(p=p, q=q, r=r) for r in (0.0, 1.0))
     )
-    if m_lo == 0.0 or m_hi == 0.0 or (m_lo > 0.0) == (m_hi > 0.0):
+    if not (lo.margin < 0.0 and hi.cm_is_rational):
         return None
     # The margin at r = 0 is -q*v_noncoop <= 0, so the sign change puts
     # p*(v_coop - v_noncoop) above q*(1 - v_noncoop): a positive denominator.

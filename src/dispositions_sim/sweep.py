@@ -121,12 +121,16 @@ def _grid_is_valid(grid: dict[str, Sequence[float]]) -> bool:
 def _raise_first_invalid_point(grid: dict[str, Sequence[float]]) -> None:
     """Name the first point, in row order, of a grid that ``_grid_is_valid`` rejects:
     each axis, outermost first, is pinned to the first value whose sub-grid (earlier
-    axes pinned, later ones whole) is invalid, so no row is walked. A whole axis is
+    axes pinned, later ones whole) is invalid, so no row is walked. A one-point axis
+    is pinned unchecked, as the sub-grid is already invalid; a later whole axis is
     checked as what decides the rule, a NaN if it holds one, else its two extremes."""
-    pinned = {k: (math.nan,) if any(map(math.isnan, v)) else (min(v), max(v))
-              for k, v in grid.items()}
-    for name, values in grid.items():
-        pinned[name] = next((v,) for v in values if not _grid_is_valid({**pinned, name: (v,)}))
+    pinned = dict(grid)
+    long_axes = [name for name, values in grid.items() if len(values) > 1]
+    for name in long_axes[1:]:  # the first long axis is only ever read value by value
+        values = grid[name]
+        pinned[name] = (math.nan,) if any(map(math.isnan, values)) else (min(values), max(values))
+    for name in long_axes:
+        pinned[name] = next((v,) for v in grid[name] if not _grid_is_valid({**pinned, name: (v,)}))
     point = {name: value for name, (value,) in pinned.items()}
     try:
         TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
@@ -136,7 +140,7 @@ def _raise_first_invalid_point(grid: dict[str, Sequence[float]]) -> None:
         raise InvalidInput(f"invalid grid point ({shown}): {exc}") from exc
 
 
-def run(settings: Settings) -> int:
+def run(settings: Settings) -> None:
     """Write the sweep CSV of the grid that ``settings`` describes."""
     grid = build_sweep_grid(settings)
 
@@ -194,4 +198,3 @@ def run(settings: Settings) -> int:
                 number_text.clear()
     if lines:
         write("\n".join(lines) + "\n")
-    return 0

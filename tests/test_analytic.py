@@ -7,7 +7,6 @@ must agree within 1e-12 absolute.
 """
 
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,6 @@ from dispositions_sim.analytic import (
     translucent_eu_sm,
 )
 from dispositions_sim.core import (
-    InvalidInput,
     InvalidProbability,
     TranslucencyParams,
     TranslucentPayoffs,
@@ -270,7 +268,7 @@ class TestCmRational:
 
 
 def test_eucomparison_factory_classifies_tie_as_not_rational():
-    comparison = EuComparison.of(eu_sm=0.5, eu_cm=0.5)
+    comparison = EuComparison(eu_sm=0.5, eu_cm=0.5)
     assert comparison.margin == 0.0
     assert not comparison.cm_is_rational
 
@@ -278,16 +276,22 @@ def test_eucomparison_factory_classifies_tie_as_not_rational():
 def test_eucomparison_record_contract(record_contract):
     record_contract(
         EuComparison,
-        {"eu_sm": 0.525, "eu_cm": 0.575, "cm_is_rational": True, "margin": 0.05},
-        "EuComparison(eu_sm=0.525, eu_cm=0.575, cm_is_rational=True, margin=0.05)",
+        {"eu_sm": 0.525, "eu_cm": 0.575},
+        "EuComparison(eu_sm=0.525, eu_cm=0.575)",
     )
 
 
-@pytest.mark.parametrize("cm_is_rational, margin", [(False, 0.05), (True, 0.0), (True, math.nan)])
-def test_eucomparison_rejects_a_flag_that_contradicts_the_margin(cm_is_rational, margin):
-    message = f"cm_is_rational={cm_is_rational} contradicts margin={margin!r}"
-    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
-        EuComparison(eu_sm=0.5, eu_cm=0.55, cm_is_rational=cm_is_rational, margin=margin)
+@pytest.mark.parametrize(
+    "eu_cm, margin, rational",
+    [(0.0, -0.525, False), (0.525, 0.0, False), (math.nan, math.nan, False)],
+)
+def test_eucomparison_derives_margin_and_decision_from_its_utilities(eu_cm, margin, rational):
+    """A record with a replaced utility re-derives both, never keeping a stale decision."""
+    comparison = cm_rational(TranslucentPayoffs(0.5, 0.75), TranslucencyParams(0.8, 0.1, 0.5))
+    assert comparison.cm_is_rational
+    replaced = comparison._replace(eu_cm=eu_cm)
+    assert replaced.margin == margin or math.isnan(replaced.margin) and math.isnan(margin)
+    assert replaced.cm_is_rational is rational
 
 
 @pytest.mark.parametrize(

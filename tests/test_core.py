@@ -159,14 +159,14 @@ class TestTranslucencyParams:
                 TranslucencyParams(p=p, q=q, r=r)
 
 
-# A valid instance of each record type; the first four check their fields.
+# A valid instance of each record type; the first three check their fields.
 VALIDATED_RECORDS = [
     TransparentPayoffs(0.2, 0.6, 0.9),
     TranslucentPayoffs(0.5, 0.75),
     TranslucencyParams(0.8, 0.1, 0.5),
-    EuComparison(0.525, 0.575, True, 0.05),
 ]
 RECORDS = VALIDATED_RECORDS + [
+    EuComparison(0.525, 0.575),
     TrajectoryStep(0, 0.5, 0.575, 0.525),
     Trajectory((TrajectoryStep(0, 0.5, 0.575, 0.525),)),
     EncounterConfig(TranslucentPayoffs(0.5, 0.75), TranslucencyParams(0.8, 0.1, 0.5)),
@@ -200,15 +200,13 @@ def _built(build):
 def replacements(draw):
     record = draw(st.sampled_from(VALIDATED_RECORDS))
     name = draw(st.sampled_from(record._fields))
-    return record, name, draw(st.booleans() if name == "cm_is_rational" else st.floats())
+    return record, name, draw(st.floats())
 
 
 @example((TranslucentPayoffs(0.5, 0.75), "v_coop", 2.0))
 @example((TransparentPayoffs(0.2, 0.6, 0.9), "u_temptation", math.inf))
 @example((TranslucencyParams(0.8, 0.1, 0.5), "q", -0.0))
 @example((TranslucencyParams(0.8, 0.1, 0.5), "r", math.nan))
-@example((EuComparison(0.525, 0.575, True, 0.05), "margin", -0.05))
-@example((EuComparison(0.525, 0.575, True, 0.05), "cm_is_rational", False))
 @settings(deadline=None, max_examples=300)
 @given(replacements())
 def test_replace_and_make_check_like_the_constructor(case):

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 from array import array
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,40 @@ def test_finding_the_first_invalid_point_reads_each_axis_a_bounded_number_of_tim
     assert run_sweep(LAST_ROW_INVALID_ARGV)[0] == 2
     axis_points = 3 + 400 + 400
     assert sum(scanned) <= 8 * axis_points, sum(scanned)
+
+
+class CountingAxis(Sequence):
+    """An axis that counts the values read from it."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, 0
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.values[index]
+
+
+def test_a_long_first_axis_bad_at_its_first_value_is_not_read_whole(monkeypatch):
+    """The first axis of two or more points is scanned value by value, never
+    reduced to its extremes, so a bad first value ends the search at once."""
+    build, axes = sweep.build_sweep_grid, []
+
+    def counting_grid(settings):
+        grid = build(settings)
+        grid["r"] = CountingAxis(grid["r"])
+        axes.append(grid["r"])
+        return grid
+
+    monkeypatch.setattr(sweep, "build_sweep_grid", counting_grid)
+    code, out, err = run_sweep(["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1",
+                                "--axis", "r=-1:1:100000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid grid point (p=0.8, q=0.1, r=-1.0, v_noncoop=0.5, "
+                   "v_coop=0.75): r must lie in [0, 1], got -1.0\n")
+    assert axes[0].reads <= 10, axes[0].reads
 
 
 # Three 16 MiB axes whose 2**63 rows pass the signed 64-bit row bound.
