@@ -20,8 +20,10 @@ example p = q = 0) exact.
 Worker count is taken from the DISPOSITIONS_SIM_THREADS environment
 variable when not passed explicitly; 0 or unset means automatic. The
 calling thread and W - 1 helper threads claim blocks from one shared
-counter, each drawing into its own reused buffer, so memory grows with
-the worker count and not with the number of trials.
+counter. Each worker draws into one reused row of ``BLOCK_TRIALS``
+doubles (512 KiB), which the block's three streams fill in turn, and
+keeps only the partner mask between them, so memory grows with the
+worker count and not with the number of trials.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, Rn
 
 
 def _run_block(
-    cfg: EncounterConfig, seed: int, block_index: int, trials: int, draws: np.ndarray
+    cfg: EncounterConfig, seed: int, block_index: int, trials: int, row: np.ndarray
 ) -> np.ndarray:
     """The block's ``(cm_coop, cm_exploited, sm_defect)`` counts, vectorized.
 
@@ -88,20 +90,20 @@ def _run_block(
     assignment changes, which stabilizes paired comparisons across
     experiment variants. The counts equal those of the scalar oracle,
     ``tests/scalar_oracle.py``, run trial by trial over the same streams
-    (asserted by the test suite). The draws overwrite the first ``trials``
-    columns of the ``(3, BLOCK_TRIALS)`` buffer ``draws``.
+    (asserted by the test suite). The partner, constrained-focal and
+    straightforward-focal streams draw in that order into the first
+    ``trials`` entries of the reused row ``row``, each used up before the
+    next overwrites it; only the partner mask outlives its draws.
     """
-    u_partner, u_cm_focal, u_sm_focal = (
-        rng.uniforms(trials, out) for rng, out in zip(block_streams(seed, block_index), draws)
-    )
+    partner_rng, cm_rng, sm_rng = block_streams(seed, block_index)
     p, q, r = cfg.params.p, cfg.params.q, cfg.params.r
 
-    partner_is_cm = u_partner < r
-    return np.array([
-        np.count_nonzero(partner_is_cm & (u_cm_focal < p)),
-        np.count_nonzero(~partner_is_cm & (u_cm_focal < q)),
-        np.count_nonzero(partner_is_cm & (u_sm_focal < q)),
-    ])
+    partner_is_cm = partner_rng.uniforms(trials, row) < r
+    u_cm_focal = cm_rng.uniforms(trials, row)
+    cm_coop = np.count_nonzero(partner_is_cm & (u_cm_focal < p))
+    cm_exploited = np.count_nonzero(~partner_is_cm & (u_cm_focal < q))
+    sm_defect = np.count_nonzero(partner_is_cm & (sm_rng.uniforms(trials, row) < q))
+    return np.array([cm_coop, cm_exploited, sm_defect])
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -178,7 +180,7 @@ def estimate_eus(
 
     def drain() -> np.ndarray:
         """Run unclaimed blocks until none are left; their summed counts."""
-        draws = np.empty((3, BLOCK_TRIALS))
+        row = np.empty(BLOCK_TRIALS)
         counts = np.zeros(3, dtype=np.int64)
         try:
             while True:
@@ -187,7 +189,7 @@ def estimate_eus(
                 if index is None:
                     return counts
                 trials = min(BLOCK_TRIALS, n_trials - index * BLOCK_TRIALS)
-                counts += _run_block(cfg, seed, index, trials, draws)
+                counts += _run_block(cfg, seed, index, trials, row)
         finally:
             stop()  # a worker that fails or is interrupted stops the others
 

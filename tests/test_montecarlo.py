@@ -127,6 +127,27 @@ class TestScalarEquivalence:
         assert {type(count) for count in report.outcome_histogram.values()} == {int}
         assert report.mean_payoff_cm == pytest.approx(reference.mean_payoff_cm, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "changes", SCALAR_EQUIVALENCE_POINTS.values(), ids=SCALAR_EQUIVALENCE_POINTS.keys()
+    )
+    def test_block_reads_only_fresh_draws_of_its_reused_row(self, monkeypatch, changes):
+        """On a row of stale zeros, which would count as hits, a full and then
+        a partial block count what the scalar oracle counts trial by trial:
+        each stream's draws are read before the next stream overwrites them,
+        and nothing past the block's ``trials`` entries is read."""
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 4096)
+        cfg = make_config(v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
+        for block_index, trials in enumerate((4096, 2731)):
+            row = np.zeros(montecarlo.BLOCK_TRIALS)
+            counts = montecarlo._run_block(cfg, 13, block_index, trials, row)
+            streams = block_streams(13, block_index)
+            outcomes = Counter(run_trial(cfg, *streams) for _ in range(trials))
+            assert counts.tolist() == [
+                sum(n for (cm, _), n in outcomes.items() if cm == "cooperation"),
+                sum(n for (cm, _), n in outcomes.items() if cm == "exploitation"),
+                sum(n for (_, sm), n in outcomes.items() if sm == "defection"),
+            ]
+
 
 class TestDegenerateConfigs:
     def test_no_recognition_is_exact_with_zero_variance(self):
@@ -250,15 +271,26 @@ class TestDriver:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_the_block_count(self, monkeypatch, workers):
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
-        cfg = make_config()
-        estimate_eus(cfg, 1000 * 64, seed=0, workers=workers)
-        tracemalloc.start()
-        try:
-            estimate_eus(cfg, 1000 * 64, seed=1, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert traced_peak(1000 * 64, workers) < 64 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_working_set_is_one_draw_row_per_worker(self, workers):
+        """At the real block size, a worker holds one reused row of draws
+        (512 KiB) and the partner mask, not a buffer per stream."""
+        assert traced_peak(8 * montecarlo.BLOCK_TRIALS + 17, workers) < workers * 1024 * 1024
+
+
+def traced_peak(n_trials: int, workers: int) -> int:
+    """The ``tracemalloc`` peak of one ``estimate_eus`` call, in bytes, after
+    an untraced warm-up call."""
+    cfg = make_config()
+    estimate_eus(cfg, n_trials, seed=0, workers=workers)
+    tracemalloc.start()
+    try:
+        estimate_eus(cfg, n_trials, seed=1, workers=workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOracleAgreement:
