@@ -13,9 +13,7 @@ from .core import (
     InvalidInput, InvalidProbability, OrderingViolation, TranslucencyParams,
     TranslucentPayoffs, TransparentPayoffs,
 )
-from .dynamics import (
-    Trajectory, TrajectoryStep, evolve, interior_threshold, replicator_step,
-)
+from .dynamics import Trajectory, TrajectoryStep, evolve, interior_threshold
 
 __version__ = "0.1.0"
 
@@ -58,7 +56,6 @@ __all__ = [
     "estimate_eus",
     "Trajectory",
     "TrajectoryStep",
-    "replicator_step",
     "evolve",
     "interior_threshold",
     "__version__",

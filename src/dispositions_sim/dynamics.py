@@ -52,11 +52,6 @@ def _ratio_step(r: float, eu_cm: float, eu_sm: float) -> float:
     return fitness_cm / (fitness_cm + fitness_sm)
 
 
-def replicator_step(pay: TranslucentPayoffs, t: TranslucencyParams) -> float:
-    """Next population share of constrained maximizers."""
-    return _ratio_step(t.r, translucent_eu_cm(pay, t), translucent_eu_sm(pay, t))
-
-
 def evolve(
     pay: TranslucentPayoffs,
     t0: TranslucencyParams,

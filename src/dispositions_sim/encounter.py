@@ -36,22 +36,13 @@ class RngStream:
             raise InvalidInput(
                 f"seed and stream_id must be non-negative, got {seed}, {stream_id}"
             )
-        self.seed = seed
-        self.stream_id = stream_id
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, stream_id]))
         )
 
-    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Next ``n`` uniform draws in [0, 1); identical to ``n`` single draws.
-
-        With ``out``, the draws fill ``out[:n]`` and that view is returned."""
-        if n < 0 or (out is not None and n > len(out)):
-            room = "" if out is None else f" and <= len(out) = {len(out)}"
-            raise InvalidInput(f"n must be >= 0{room}, got {n}")
-        if out is None:
-            return self._gen.random(n)
+    def uniforms(self, n: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out[:n]`` with the next ``n`` uniform draws in [0, 1) and
+        return that view; identical to ``n`` single draws."""
+        if not 0 <= n <= len(out):
+            raise InvalidInput(f"n must be >= 0 and <= len(out) = {len(out)}, got {n}")
         return self._gen.random(out=out[:n])
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

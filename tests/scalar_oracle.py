@@ -11,12 +11,14 @@ random numbers when only the disposition assignment changes, which
 stabilizes paired comparisons across experiment variants.
 """
 
+import numpy as np
+
 from dispositions_sim.encounter import EncounterConfig, RngStream
 
 
 def uniform(rng: RngStream) -> float:
-    """The stream's next uniform draw in [0, 1)."""
-    return float(rng.uniforms(1)[0])
+    """The stream's next uniform draw in [0, 1), through a one-slot buffer."""
+    return float(rng.uniforms(1, np.empty(1))[0])
 
 
 def resolve_encounter(

@@ -24,7 +24,7 @@ from dispositions_sim.core import (
     TranslucentPayoffs,
     TransparentPayoffs,
 )
-from dispositions_sim.dynamics import evolve, replicator_step
+from dispositions_sim.dynamics import evolve
 from dispositions_sim.encounter import EncounterConfig
 from dispositions_sim.montecarlo import estimate_eus
 
@@ -145,8 +145,9 @@ def test_criterion_7_replicator_sanity():
         rng = np.random.default_rng(7)
         for _ in range(20):
             pay, t = random_translucent(rng)
-            assert replicator_step(pay, TranslucencyParams(t.p, t.q, 0.0)) == 0.0
-            assert replicator_step(pay, TranslucencyParams(t.p, t.q, 1.0)) == 1.0
+            # One generation of evolve is one step of the replicator map.
+            for r in (0.0, 1.0):
+                assert evolve(pay, TranslucencyParams(t.p, t.q, r), 1).steps[1].r == r
 
         checked = 0
         while checked < 1000:
@@ -156,7 +157,7 @@ def test_criterion_7_replicator_sanity():
             margin = cm_rational(pay, t).margin
             if abs(margin) < 1e-9:
                 continue  # boundary draw, resample
-            delta = replicator_step(pay, t) - t.r
+            delta = evolve(pay, t, 1).steps[1].r - t.r
             assert (delta > 0) == (margin > 0), f"{pay}, {t}"
             checked += 1
 

@@ -244,11 +244,10 @@ def test_public_names_are_exactly_the_documented_surface():
         "estimate_eus",
         "Trajectory",
         "TrajectoryStep",
-        "replicator_step",
         "evolve",
         "interior_threshold",
         "__version__",
     }
-    assert len(dispositions_sim.__all__) == 24
+    assert len(dispositions_sim.__all__) == 23
     for name in dispositions_sim.__all__:
         getattr(dispositions_sim, name)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +16,14 @@ from dispositions_sim.analytic import (
     translucent_eu_cm,
     translucent_eu_sm,
 )
-from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
+from dispositions_sim.core import InvalidProbability, TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.dynamics import (
     CONVERGENCE_TOL,
     Trajectory,
     TrajectoryStep,
+    _ratio_step,
     evolve,
     interior_threshold,
-    replicator_step,
 )
 
 PAY = TranslucentPayoffs(0.5, 0.75)
@@ -30,6 +31,11 @@ PAY = TranslucentPayoffs(0.5, 0.75)
 
 def params(p=0.8, q=0.1, r=0.5):
     return TranslucencyParams(p=p, q=q, r=r)
+
+
+def next_share(pay, t):
+    """The next share of constrained maximizers: one generation of ``evolve``."""
+    return evolve(pay, t, 1).steps[1].r
 
 
 def test_trajectory_step_record_contract(record_contract):
@@ -51,10 +57,10 @@ def test_trajectory_record_contract(record_contract):
 
 class TestReplicatorStep:
     def test_extinction_is_a_fixed_point(self):
-        assert replicator_step(PAY, params(r=0.0)) == 0.0
+        assert next_share(PAY, params(r=0.0)) == 0.0
 
     def test_fixation_is_a_fixed_point(self):
-        assert replicator_step(PAY, params(r=1.0)) == 1.0
+        assert next_share(PAY, params(r=1.0)) == 1.0
 
     def test_reference_step_against_rational_oracle(self):
         """r' = r*eu_cm / (r*eu_cm + (1-r)*eu_sm) at the reference point."""
@@ -63,7 +69,7 @@ class TestReplicatorStep:
             Fraction(1, 2) * eu_cm + Fraction(1, 2) * eu_sm
         )
         assert exact == Fraction(23, 44)
-        result = replicator_step(PAY, params())
+        result = next_share(PAY, params())
         assert result == pytest.approx(float(Fraction(23, 44)), abs=1e-12)
 
     def test_direction_law_on_random_interior_states(self):
@@ -82,7 +88,7 @@ class TestReplicatorStep:
             margin = cm_rational(pay, t).margin
             if abs(margin) < 1e-9:
                 continue  # boundary draw, resample
-            delta = replicator_step(pay, t) - t.r
+            delta = next_share(pay, t) - t.r
             assert (delta > 0) == (margin > 0), (
                 f"direction mismatch at pay={pay}, t={t}: delta={delta}, margin={margin}"
             )
@@ -96,7 +102,7 @@ class TestReplicatorStep:
             r = rng.uniform(0, 1)
             p, q = rng.uniform(0, 1), rng.uniform(0, 1)
             for _ in range(200):
-                r = replicator_step(pay, TranslucencyParams(p=p, q=q, r=r))
+                r = next_share(pay, TranslucencyParams(p=p, q=q, r=r))
                 assert 0.0 <= r <= 1.0
 
     def test_valid_extremes_give_a_share_in_the_unit_interval(self):
@@ -110,7 +116,7 @@ class TestReplicatorStep:
                 pay = TranslucentPayoffs(v_nc, v_c)
                 for p, q, r in itertools.product(probabilities, probabilities, shares):
                     t = TranslucencyParams(p=p, q=q, r=r)
-                    assert 0.0 <= replicator_step(pay, t) <= 1.0, (pay, t)
+                    assert 0.0 <= next_share(pay, t) <= 1.0, (pay, t)
                     checked += 1
         assert checked == 9 * 4 * 4 * 6
 
@@ -168,12 +174,12 @@ class TestEvolve:
 
 
 def reference_evolve(pay, t0, generations):
-    """The replicator loop evaluated step by step: ``replicator_step`` for the
-    update, then both closed forms for the record."""
+    """The replicator loop evaluated step by step: the ratio update on both
+    public closed forms, then both closed forms again for the record."""
     r, params = t0.r, t0
     steps = [TrajectoryStep(0, r, translucent_eu_cm(pay, t0), translucent_eu_sm(pay, t0))]
     for generation in range(1, generations + 1):
-        r_next = replicator_step(pay, params)
+        r_next = _ratio_step(r, translucent_eu_cm(pay, params), translucent_eu_sm(pay, params))
         converged = abs(r_next - r) < CONVERGENCE_TOL
         r = r_next
         params = TranslucencyParams(p=t0.p, q=t0.q, r=r)
@@ -245,6 +251,17 @@ class TestInteriorThreshold:
     def test_no_threshold_without_exploitation_risk(self):
         # q = 0 makes the margin non-negative everywhere.
         assert interior_threshold(PAY, p=0.8, q=0.0) is None
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(-0.1, 0.1), (1.5, 0.1), (math.nan, 0.1), (0.8, -1e-300), (0.8, 1.0000001), (0.8, math.nan)],
+    )
+    def test_probability_outside_unit_interval_rejected(self, p, q):
+        """Bad p or q raises as ``TranslucencyParams`` does, not a None or a root."""
+        with pytest.raises(InvalidProbability) as expected:
+            TranslucencyParams(p=p, q=q, r=0.0)
+        with pytest.raises(InvalidProbability, match=f"^{re.escape(str(expected.value))}$"):
+            interior_threshold(PAY, p, q)
 
     def test_random_roots_against_exact_linear_solution(self):
         rng = np.random.default_rng(12)
