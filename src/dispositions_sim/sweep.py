@@ -1,13 +1,13 @@
 """The ``sweep`` subcommand: derived quantities over a parameter grid, as CSV.
 
-Each grid point costs a few float operations, so the grid is walked in plain
-Python with the scalar closed forms of ``analytic`` and imports no numpy.
-Per-run storage is one ``array('d')`` per swept axis, plus the index tuples
-that ``itertools.product`` keeps of the outer axes that vary: memory grows
-with the axis lengths, not with the number of rows.
+Each grid point costs a few float operations, so the grid is evaluated with
+the scalar closed forms of ``analytic``, mapped over one span of an axis at a
+time, and imports no numpy. Storage is one ``array('d')`` per swept axis plus
+one chunk of rows; no axis is held as Python objects, so memory grows with
+the axis lengths, not with the number of rows.
 
 ``run`` validates the whole grid before it writes the first byte (a rejected
-grid walks no rows), then computes and streams the rows in fixed-size chunks.
+grid walks no rows), then computes and streams the rows in bounded chunks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import chain, product
+from itertools import chain, repeat
 from typing import Sequence
 
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
@@ -24,7 +24,7 @@ from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _in_unit
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
-# Rows per written chunk; each chunk's text caches are dropped after it.
+# The most rows a written chunk holds.
 SWEEP_CHUNK_ROWS = 4096
 
 SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
@@ -149,52 +149,64 @@ def run(settings: Settings) -> None:
     if not _grid_is_valid(grid):
         _raise_first_invalid_point(grid)
 
-    # One row's parameters and their text, in PARAM_NAMES order, each at its
-    # axis's first value. Only axes of more than one point (else the last axis)
-    # are walked: the outer ones' slots are overwritten once per run of the
-    # innermost axis, which varies fastest, and the innermost's once per row.
-    point = [grid[name][0] for name in PARAM_NAMES]
-    fields = list(map(_fmt, point))
-    slots = [(PARAM_NAMES.index(k), v) for k, v in grid.items()]
-    *outer, (inner_slot, inner) = [s for s in slots if len(s[1]) > 1] or slots[-1:]
-    # Each chunk formats a distinct value once. Axis text is keyed by slot and
-    # point index, as a float key would merge 0.0 and -0.0; the computed
-    # values are never -0.0, so they share one cache keyed by value.
-    outer_text: dict[tuple[int, int], str] = {}
-    inner_text: dict[int, str] = {}
-    number_text: dict[float, str] = {}
-    lines: list[str] = []
+    # Rows are evaluated a span of the run axis at a time: the walked axis (of more
+    # than one point, else the last axis) whose span is longest, ties going to the
+    # innermost. A span times the rows of the walked axes inside it fits one chunk.
+    walked = [name for name, values in grid.items() if len(values) > 1] or list(grid)[-1:]
+    spans, inside, rows = {}, {}, 1
+    for name in reversed(walked):
+        spans[name], inside[name] = min(len(grid[name]), SWEEP_CHUNK_ROWS // rows), rows
+        rows *= len(grid[name])
+    run_name = max(spans, key=spans.get)
+    span, run_values, slot = spans[run_name], grid[run_name], PARAM_NAMES.index(run_name)
+    # A column is one span under one combination of the other walked axes, and a
+    # chunk is one span's columns. Columns are numbered in row order, each number
+    # unravelled into point indices (the run axis's is its span's first), so no
+    # axis is held as Python objects.
+    lengths = {name: len(grid[name]) for name in reversed(walked)}
+    lengths[run_name] = -(-len(run_values) // span)
+    chunk_columns = inside[run_name]
+    at = dict.fromkeys(PARAM_NAMES, 0)
+    text = {name: _fmt(grid[name][0]) for name in PARAM_NAMES}
+    caches: dict = {}
+
+    def column(formula, *names):
+        """FORMULA's values and text over the span, recomputed only when the point
+        indices of the parameters it reads change (a float key would merge 0.0 and
+        -0.0). A cache holds at most one chunk's columns."""
+        cache, key = caches.setdefault(formula, {}), tuple(map(at.get, names))
+        if key not in cache:
+            if len(cache) >= chunk_columns:
+                cache.clear()
+            if run_name in names:
+                start = at[run_name]
+                args = [run_values[start : start + span] if n == run_name else repeat(grid[n][at[n]])
+                        for n in names]
+                values = list(map(formula, *args))
+                cache[key] = values, list(map(_fmt, values))
+            else:  # one value for the whole span
+                value = formula(*(grid[n][at[n]] for n in names))
+                cache[key] = [value] * span, [_fmt(value)] * span
+        return cache[key]
+
+    chunk: list[list[str]] = []
     write = sys.stdout.write
     write(SWEEP_HEADER + "\n")
-    for indices in product(*(range(len(values)) for _, values in outer)):
-        for (slot, values), i in zip(outer, indices):
-            point[slot] = values[i]
-            fields[slot] = outer_text.get((slot, i)) or outer_text.setdefault(
-                (slot, i), _fmt(values[i])
-            )
-        # The columns before and after the innermost axis, comma-joined.
-        head = ",".join(fields[:inner_slot] + [""])
-        tail = ",".join([""] + fields[inner_slot + 1 :])
-        for i, value in enumerate(inner):
-            point[inner_slot] = value
-            p, q, r, v_noncoop, v_coop = point
-            eu_cm = _eu_cm(v_noncoop, v_coop, p, q, r)
-            eu_sm = _eu_sm(v_noncoop, q, r)
-            margin = eu_cm - eu_sm
-            ratio = _critical_ratio(v_noncoop, v_coop, r)
-            lines.append(
-                f"{head}{inner_text.get(i) or inner_text.setdefault(i, _fmt(value))}{tail},"
-                f"{number_text.get(eu_cm) or number_text.setdefault(eu_cm, _fmt(eu_cm))},"
-                f"{number_text.get(eu_sm) or number_text.setdefault(eu_sm, _fmt(eu_sm))},"
-                f"{number_text.get(margin) or number_text.setdefault(margin, _fmt(margin))},"
-                f"{number_text.get(ratio) or number_text.setdefault(ratio, _fmt(ratio))},"
-                f"{'true' if margin > 0.0 else 'false'}"
-            )
-            if len(lines) == SWEEP_CHUNK_ROWS:
-                write("\n".join(lines) + "\n")
-                lines.clear()
-                outer_text.clear()
-                inner_text.clear()
-                number_text.clear()
-    if lines:
-        write("\n".join(lines) + "\n")
+    for number in range(math.prod(lengths.values())):
+        for name, length in lengths.items():
+            number, at[name] = divmod(number, length)
+        at[run_name] *= span
+        text.update((name, _fmt(grid[name][at[name]])) for name in walked if name != run_name)
+        fields = [text[name] for name in PARAM_NAMES]
+        head, tail = ",".join(fields[:slot] + [""]), ",".join([""] + fields[slot + 1 :])
+        _, run_text = column(float, run_name)  # the run axis's own text
+        cm, cm_text = column(_eu_cm, "v_noncoop", "v_coop", "p", "q", "r")
+        sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
+        _, ratio_text = column(_critical_ratio, "v_noncoop", "v_coop", "r")
+        chunk.append([
+            f"{head}{x}{tail},{c},{s},{_fmt(m := a - b)},{t},{'true' if m > 0.0 else 'false'}\n"
+            for x, a, c, b, s, t in zip(run_text, cm, cm_text, sm, sm_text, ratio_text)
+        ])
+        if len(chunk) == chunk_columns:  # columns side by side restore the row order
+            write("".join(chunk[0] if len(chunk) == 1 else chain.from_iterable(zip(*chunk))))
+            chunk.clear()

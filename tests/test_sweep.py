@@ -184,16 +184,28 @@ def grids(draw):
 # The smallest one makes the denominator underflow to 0, where the ratio
 # must be inf as well.
 @example(({"q": 0.0, "r": 2.2250738585e-313, "v_noncoop": 0.25, "v_coop": 0.75},
-          [("p", 0.0, 0.0, 1)]))
+          [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
 @example(({"q": 0.0, "r": 5e-324, "v_noncoop": 0.25, "v_coop": 0.75},
-          [("p", 0.0, 0.0, 1)]))
+          [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
+# The longest axis outermost: spans of r, each under both p values, cross chunks.
+@example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
+          [("r", 0.0, 1.0, 6), ("p", 0.0, 1.0, 2)]), 7)
+# One-point spans of 0.0 and -0.0, which print differently.
+@example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
+          [("r", 0.0, 1.0, 3), ("p", 0.0, -0.0, 2)]), 1)
 @settings(max_examples=300, deadline=None)
-@given(grids())
+@given(grids(), st.sampled_from([1, 2, 5, 7, sweep.SWEEP_CHUNK_ROWS]))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sweep_matches_point_by_point_reference(grid):
+def test_sweep_matches_point_by_point_reference(grid, chunk_rows):
+    """Also with chunks of a few rows, so that grids cross chunk and span boundaries."""
     fixed, axes = grid
     expected = reference_sweep(fixed, axes)
-    code, out, err = run_sweep(sweep_argv(fixed, axes))
+    # Set by hand: hypothesis rejects the function-scoped monkeypatch fixture.
+    default_rows, sweep.SWEEP_CHUNK_ROWS = sweep.SWEEP_CHUNK_ROWS, chunk_rows
+    try:
+        code, out, err = run_sweep(sweep_argv(fixed, axes))
+    finally:
+        sweep.SWEEP_CHUNK_ROWS = default_rows
     if expected.startswith("error: "):
         assert (code, out, err) == (2, "", expected)
     else:
@@ -379,8 +391,10 @@ def test_sweep_memory_does_not_grow_with_row_count():
         (["--p", "0.8", "--q", "0.1", "--axis", "r=-1:1:{}"], 2, (250_000, 2_500_000)),
         # The one-point axis is not walked, so the long axis is the innermost.
         (["--q", "0.1", "--axis", "r=0:1:{}", "--axis", "p=0:0:1"], 0, (40_000, 400_000)),
+        # The long axis is outermost, so its spans are interleaved with p.
+        (["--q", "0.1", "--axis", "r=0:1:{}", "--axis", "p=0:1:2"], 0, (40_000, 400_000)),
     ],
-    ids=["rejected-grid", "one-point-inner-axis"],
+    ids=["rejected-grid", "one-point-inner-axis", "long-outer-axis"],
 )
 def test_sweep_memory_per_axis_point_is_about_the_axis_itself(argv, expected_code, counts):
     """An axis point costs its 8-byte double, not a Python object per point."""
