@@ -1,10 +1,10 @@
 """The ``sweep`` subcommand: derived quantities over a parameter grid, as CSV.
 
 Each grid point costs a few float operations, so the grid is evaluated with
-the scalar closed forms of ``analytic``, mapped over one span of an axis at a
-time, and imports no numpy. Storage is one ``array('d')`` per swept axis plus
-one chunk of rows; no axis is held as Python objects, so memory grows with
-the axis lengths, not with the number of rows.
+the scalar closed forms of ``analytic``, mapped over one span of the innermost
+swept axis at a time, and imports no numpy. Storage is one ``array('d')`` per
+swept axis plus one chunk of rows; no axis is held as Python objects, so memory
+grows with the axis lengths, not with the number of rows.
 
 ``run`` validates the whole grid before it writes the first byte (a rejected
 grid walks no rows), then computes and streams the rows in bounded chunks.
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import Sequence
 
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
@@ -33,6 +34,14 @@ SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rati
 _MAX_ROWS = 2**63 - 1
 
 _FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
+
+
+def _texts(values: list[float]) -> list[str]:
+    """Each of VALUES (computed, so never -0.0) as ``_fmt`` text; a column of one
+    repeated value is formatted once."""
+    if values[-1] == values[0] and values.count(values[0]) == len(values):
+        return [_fmt(values[0])] * len(values)
+    return list(map(_fmt, values))
 
 
 def _fill_linspace(values: array, start: float, stop: float) -> array:
@@ -149,64 +158,52 @@ def run(settings: Settings) -> None:
     if not _grid_is_valid(grid):
         _raise_first_invalid_point(grid)
 
-    # Rows are evaluated a span of the run axis at a time: the walked axis (of more
-    # than one point, else the last axis) whose span is longest, ties going to the
-    # innermost. A span times the rows of the walked axes inside it fits one chunk.
-    walked = [name for name, values in grid.items() if len(values) > 1] or list(grid)[-1:]
-    spans, inside, rows = {}, {}, 1
-    for name in reversed(walked):
-        spans[name], inside[name] = min(len(grid[name]), SWEEP_CHUNK_ROWS // rows), rows
-        rows *= len(grid[name])
-    run_name = max(spans, key=spans.get)
-    span, run_values, slot = spans[run_name], grid[run_name], PARAM_NAMES.index(run_name)
-    # A column is one span under one combination of the other walked axes, and a
-    # chunk is one span's columns. Columns are numbered in row order, each number
-    # unravelled into point indices (the run axis's is its span's first), so no
-    # axis is held as Python objects.
-    lengths = {name: len(grid[name]) for name in reversed(walked)}
-    lengths[run_name] = -(-len(run_values) // span)
-    chunk_columns = inside[run_name]
+    # Rows are evaluated one span of the innermost walked axis (of more than one
+    # point, else the last axis) at a time, a span being at most one chunk. The
+    # combinations of the outer walked axes are numbered in row order, each number
+    # unravelled into point indices, so no axis is held as Python objects.
+    walked = [name for name, values in grid.items() if len(values) > 1]
+    *outer, inner_name = walked or list(grid)[-1:]
+    inner, slot = grid[inner_name], PARAM_NAMES.index(inner_name)
+    span = min(len(inner), SWEEP_CHUNK_ROWS)
     at = dict.fromkeys(PARAM_NAMES, 0)
-    text = {name: _fmt(grid[name][0]) for name in PARAM_NAMES}
-    caches: dict = {}
+    fields = [_fmt(grid[name][0]) for name in PARAM_NAMES]
+    # Each parameter's values along the span: the inner axis's span, else its point repeated.
+    args = {name: repeat(grid[name][0]) for name in PARAM_NAMES}
+    kept: dict = {}
+    run_start = None
 
     def column(formula, *names):
-        """FORMULA's values and text over the span, recomputed only when the point
-        indices of the parameters it reads change (a float key would merge 0.0 and
-        -0.0). A cache holds at most one chunk's columns."""
-        cache, key = caches.setdefault(formula, {}), tuple(map(at.get, names))
-        if key not in cache:
-            if len(cache) >= chunk_columns:
-                cache.clear()
-            if run_name in names:
-                start = at[run_name]
-                args = [run_values[start : start + span] if n == run_name else repeat(grid[n][at[n]])
-                        for n in names]
-                values = list(map(formula, *args))
-                cache[key] = values, list(map(_fmt, values))
-            else:  # one value for the whole span
-                value = formula(*(grid[n][at[n]] for n in names))
-                cache[key] = [value] * span, [_fmt(value)] * span
-        return cache[key]
+        """FORMULA's values over the span and their text, kept while the point indices
+        of the parameters it reads are unchanged (a float key would merge 0.0 and -0.0)."""
+        key = tuple(map(at.get, names))
+        if kept.get(formula, (None,))[0] != key:
+            values = list(islice(map(formula, *map(args.get, names)), span))
+            kept[formula] = key, values, _texts(values)
+        return kept[formula][1:]
 
-    chunk: list[list[str]] = []
+    lines: list[str] = []
     write = sys.stdout.write
     write(SWEEP_HEADER + "\n")
-    for number in range(math.prod(lengths.values())):
-        for name, length in lengths.items():
-            number, at[name] = divmod(number, length)
-        at[run_name] *= span
-        text.update((name, _fmt(grid[name][at[name]])) for name in walked if name != run_name)
-        fields = [text[name] for name in PARAM_NAMES]
+    for number in range(math.prod(len(grid[name]) for name in outer)):
+        for name in reversed(outer):
+            number, i = divmod(number, len(grid[name]))
+            at[name], args[name] = i, repeat(grid[name][i])
+            fields[PARAM_NAMES.index(name)] = _fmt(grid[name][i])
         head, tail = ",".join(fields[:slot] + [""]), ",".join([""] + fields[slot + 1 :])
-        _, run_text = column(float, run_name)  # the run axis's own text
-        cm, cm_text = column(_eu_cm, "v_noncoop", "v_coop", "p", "q", "r")
-        sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
-        _, ratio_text = column(_critical_ratio, "v_noncoop", "v_coop", "r")
-        chunk.append([
-            f"{head}{x}{tail},{c},{s},{_fmt(m := a - b)},{t},{'true' if m > 0.0 else 'false'}\n"
-            for x, a, c, b, s, t in zip(run_text, cm, cm_text, sm, sm_text, ratio_text)
-        ])
-        if len(chunk) == chunk_columns:  # columns side by side restore the row order
-            write("".join(chunk[0] if len(chunk) == 1 else chain.from_iterable(zip(*chunk))))
-            chunk.clear()
+        for start in range(0, len(inner), span):
+            at[inner_name] = start
+            args[inner_name] = run = inner[start : start + span]
+            if start != run_start:  # the inner axis's text, reformatted when the span moves
+                run_start, run_text = start, list(map(_fmt, run))
+            cm = list(map(_eu_cm, *map(args.get, ("v_noncoop", "v_coop", "p", "q", "r"))))
+            sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
+            margin = list(map(sub, cm, sm))
+            ratio_text = column(_critical_ratio, "v_noncoop", "v_coop", "r")[1]
+            texts = zip(run_text, _texts(cm), sm_text, _texts(margin), ratio_text, margin)
+            lines += [f"{head}{x}{tail},{c},{s},{m},{t},{'true' if d > 0.0 else 'false'}\n"
+                      for x, c, s, m, t, d in texts]
+            if len(lines) > SWEEP_CHUNK_ROWS - span:
+                write("".join(lines))
+                lines.clear()
+    write("".join(lines))

@@ -187,7 +187,7 @@ def grids(draw):
           [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
 @example(({"q": 0.0, "r": 5e-324, "v_noncoop": 0.25, "v_coop": 0.75},
           [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
-# The longest axis outermost: spans of r, each under both p values, cross chunks.
+# A long outer axis over a two-point inner one: two-row spans that fill and cross chunks.
 @example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
           [("r", 0.0, 1.0, 6), ("p", 0.0, 1.0, 2)]), 7)
 # One-point spans of 0.0 and -0.0, which print differently.
@@ -391,7 +391,7 @@ def test_sweep_memory_does_not_grow_with_row_count():
         (["--p", "0.8", "--q", "0.1", "--axis", "r=-1:1:{}"], 2, (250_000, 2_500_000)),
         # The one-point axis is not walked, so the long axis is the innermost.
         (["--q", "0.1", "--axis", "r=0:1:{}", "--axis", "p=0:0:1"], 0, (40_000, 400_000)),
-        # The long axis is outermost, so its spans are interleaved with p.
+        # The long axis is outermost, walked by index over a two-point inner axis.
         (["--q", "0.1", "--axis", "r=0:1:{}", "--axis", "p=0:1:2"], 0, (40_000, 400_000)),
     ],
     ids=["rejected-grid", "one-point-inner-axis", "long-outer-axis"],
