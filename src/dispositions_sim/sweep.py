@@ -3,11 +3,11 @@
 Each grid point costs a few float operations, so the grid is evaluated with
 the scalar closed forms of ``analytic``, mapped over one span of the innermost
 swept axis at a time, and imports no numpy. Storage is one ``array('d')`` per
-swept axis plus one chunk of rows; no axis is held as Python objects, so memory
-grows with the axis lengths, not with the number of rows.
+swept axis plus the rows of one span; no axis is held as Python objects, so
+memory grows with the axis lengths, not with the number of rows.
 
 ``run`` validates the whole grid before it writes the first byte (a rejected
-grid walks no rows), then computes and streams the rows in bounded chunks.
+grid walks no rows), then writes each span's rows as soon as they are built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _in_unit
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
-# The most rows a written chunk holds.
+# The most rows a span holds.
 SWEEP_CHUNK_ROWS = 4096
 
 SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
@@ -159,9 +159,10 @@ def run(settings: Settings) -> None:
         _raise_first_invalid_point(grid)
 
     # Rows are evaluated one span of the innermost walked axis (of more than one
-    # point, else the last axis) at a time, a span being at most one chunk. The
-    # combinations of the outer walked axes are numbered in row order, each number
-    # unravelled into point indices, so no axis is held as Python objects.
+    # point, else the last axis) at a time, and each span is written in one call
+    # as soon as it is built. The combinations of the outer walked axes are
+    # numbered in row order, each number unravelled into point indices, so no
+    # axis is held as Python objects.
     walked = [name for name, values in grid.items() if len(values) > 1]
     *outer, inner_name = walked or list(grid)[-1:]
     inner, slot = grid[inner_name], PARAM_NAMES.index(inner_name)
@@ -182,7 +183,6 @@ def run(settings: Settings) -> None:
             kept[formula] = key, values, _texts(values)
         return kept[formula][1:]
 
-    lines: list[str] = []
     write = sys.stdout.write
     write(SWEEP_HEADER + "\n")
     for number in range(math.prod(len(grid[name]) for name in outer)):
@@ -201,9 +201,5 @@ def run(settings: Settings) -> None:
             margin = list(map(sub, cm, sm))
             ratio_text = column(_critical_ratio, "v_noncoop", "v_coop", "r")[1]
             texts = zip(run_text, _texts(cm), sm_text, _texts(margin), ratio_text, margin)
-            lines += [f"{head}{x}{tail},{c},{s},{m},{t},{'true' if d > 0.0 else 'false'}\n"
-                      for x, c, s, m, t, d in texts]
-            if len(lines) > SWEEP_CHUNK_ROWS - span:
-                write("".join(lines))
-                lines.clear()
-    write("".join(lines))
+            write("".join([f"{head}{x}{tail},{c},{s},{m},{t},{'true' if d > 0.0 else 'false'}\n"
+                           for x, c, s, m, t, d in texts]))

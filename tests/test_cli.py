@@ -1,6 +1,7 @@
 """Command-line interface: contracts, exit codes, and golden outputs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -565,3 +566,38 @@ class TestDeterminism:
         first = run_cli_bytes(argv, env_threads="1")
         second = run_cli_bytes(argv, env_threads="8")
         assert first == second
+
+
+# Each run's (argv, DISPOSITIONS_SIM_THREADS or None, md5 of stdout). The sweep
+# grids are the benchmark's 9 x 101 x 101 grid and a long r axis over two p
+# values, whose two-row spans are each written in one call. The simulate runs
+# pin the JSON record, key order included; the multi-block one, whose last
+# block is partial, runs under one and two workers.
+SIMULATE_MULTI_BLOCK = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000001",
+                        "--seed", "7"]
+MD5_PINS = {
+    "sweep_grid": (["sweep", "--vc", "0.75", "--q", "0.1", "--axis", "v_noncoop=0.05:0.45:9",
+                    "--axis", "p=0:1:101", "--axis", "r=0:1:101"],
+                   None, "f3aa2a96a76a748db763fbe7219d860b"),
+    "sweep_two_row_spans": (["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
+                             "--axis", "r=0:1:5000", "--axis", "p=0:1:2"],
+                            None, "6d9545fc5e439db40cb41d271e9d6c59"),
+    "simulate": (["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "65536", "--seed", "1"],
+                 None, "c1abd192520909db4b77735477d74b70"),
+    "simulate_multi_block_1_worker": (SIMULATE_MULTI_BLOCK, "1",
+                                      "065afe1fa60e66f24525f0ed6f87fa5d"),
+    "simulate_multi_block_2_workers": (SIMULATE_MULTI_BLOCK, "2",
+                                       "065afe1fa60e66f24525f0ed6f87fa5d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MD5_PINS))
+def test_stdout_matches_pinned_md5(name, capsys, monkeypatch):
+    argv, threads, digest = MD5_PINS[name]
+    if threads is None:
+        monkeypatch.delenv("DISPOSITIONS_SIM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", threads)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == digest

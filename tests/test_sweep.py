@@ -151,7 +151,7 @@ def test_golden_csv_covers_infinite_ratio():
 
 
 def test_output_spanning_many_chunks_matches_golden_digest():
-    # 11163 rows, several thousand past any reasonable chunk size.
+    # 11163 rows in 183 spans of 61, each written on its own.
     argv = ["--vnc", "0.3", "--vc", "0.7", "--axis", "q=0:0.5:3",
             "--axis", "p=0:1:61", "--axis", "r=0:1:61"]
     code, out, _ = run_sweep(argv)
@@ -187,7 +187,7 @@ def grids(draw):
           [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
 @example(({"q": 0.0, "r": 5e-324, "v_noncoop": 0.25, "v_coop": 0.75},
           [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
-# A long outer axis over a two-point inner one: two-row spans that fill and cross chunks.
+# A long outer axis over a two-point inner one: two-row spans, each written on its own.
 @example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
           [("r", 0.0, 1.0, 6), ("p", 0.0, 1.0, 2)]), 7)
 # One-point spans of 0.0 and -0.0, which print differently.
@@ -197,7 +197,7 @@ def grids(draw):
 @given(grids(), st.sampled_from([1, 2, 5, 7, sweep.SWEEP_CHUNK_ROWS]))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_matches_point_by_point_reference(grid, chunk_rows):
-    """Also with chunks of a few rows, so that grids cross chunk and span boundaries."""
+    """Also with spans of at most a few rows, so that an inner axis is cut into several."""
     fixed, axes = grid
     expected = reference_sweep(fixed, axes)
     # Set by hand: hypothesis rejects the function-scoped monkeypatch fixture.
