@@ -61,6 +61,7 @@ FLAGS: dict[str, dict[str, Any]] = {
 }
 
 _EXPECTED = {float: "a number", int: "an integer", list: "a list of strings"}
+_EVOLVE_SLICE_ROWS = 4096  # evolve formats and writes its rows this many at a time
 
 
 class Parser(argparse.ArgumentParser):
@@ -156,11 +157,7 @@ def cmd_simulate(settings: Settings) -> None:
     record = {
         "n_trials": report.n_trials,
         "seed": seed,
-        "mean_payoff_cm": report.mean_payoff_cm,
-        "mean_payoff_sm": report.mean_payoff_sm,
-        "stderr_cm": report.stderr_cm,
-        "stderr_sm": report.stderr_sm,
-        "outcome_histogram": report.outcome_histogram,
+        **report._asdict(),  # n_trials, repeated, keeps its first position
         "analytic_eu_cm": eu_cm,
         "analytic_eu_sm": eu_sm,
         "deviation_cm": abs(report.mean_payoff_cm - eu_cm),
@@ -179,8 +176,10 @@ def cmd_evolve(settings: Settings) -> None:
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t0 = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r0"])
     steps = evolve(pay, t0, settings["generations"]).steps
-    rows = [(str(s.generation), _fmt(s.r), _fmt(s.eu_cm), _fmt(s.eu_sm)) for s in steps]
-    sys.stdout.write("\n".join(["generation,r,eu_cm,eu_sm", *map(",".join, rows)]) + "\n")
+    sys.stdout.write("generation,r,eu_cm,eu_sm\n")
+    for start in range(0, len(steps), _EVOLVE_SLICE_ROWS):
+        sys.stdout.write("".join([f"{s.generation},{_fmt(s.r)},{_fmt(s.eu_cm)},{_fmt(s.eu_sm)}\n"
+                                  for s in steps[start : start + _EVOLVE_SLICE_ROWS]]))
     threshold = interior_threshold(pay, t0.p, t0.q)
     if threshold is not None:
         print("# " + json.dumps({"interior_threshold": threshold}))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dispositions_sim import cli
 from dispositions_sim.cli import main
 from dispositions_sim.sweep import SWEEP_HEADER
+from peak_rss import needs_procfs, peak_rss_kib
 
 REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
 
@@ -342,6 +343,22 @@ class TestEvolveCommand:
         assert rows and all(row.split(",")[1] == "0.5" for row in rows)
 
 
+# p = 1e-9 moves the share by about 6e-11 a generation, far above the 1e-12 stop
+# tolerance, so the run holds every requested generation.
+EVOLVE_NEVER_CONVERGES = ["evolve", "--vnc", "0.5", "--vc", "0.75", "--p", "1e-9",
+                          "--q", "0", "--r0", "0.5"]
+
+
+@needs_procfs
+def test_evolve_memory_per_generation_is_about_its_trajectory_step():
+    """A generation costs its held ``TrajectoryStep``, not a copy of its row text too."""
+    small, large = (
+        peak_rss_kib([*EVOLVE_NEVER_CONVERGES, "--generations", str(n)], 0)
+        for n in (10_000, 100_000)
+    )
+    assert (large - small) / (100_000 - 10_000) < 0.4, (small, large)
+
+
 @pytest.mark.parametrize("name", sorted(EVOLVE_GOLDENS))
 def test_evolve_golden_csv(name, capsys):
     code, out, err = run_cli(["evolve", *EVOLVE_GOLDENS[name]], capsys)
@@ -570,7 +587,8 @@ class TestDeterminism:
 
 # Each run's (argv, DISPOSITIONS_SIM_THREADS or None, md5 of stdout). The sweep
 # grids are the benchmark's 9 x 101 x 101 grid and a long r axis over two p
-# values, whose two-row spans are each written in one call. The simulate runs
+# values, whose two-row spans are each written in one call. The evolve run
+# prints 10 002 lines, its rows in three slices. The simulate runs
 # pin the JSON record, key order included; the multi-block one, whose last
 # block is partial, runs under one and two workers.
 SIMULATE_MULTI_BLOCK = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000001",
@@ -582,6 +600,8 @@ MD5_PINS = {
     "sweep_two_row_spans": (["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
                              "--axis", "r=0:1:5000", "--axis", "p=0:1:2"],
                             None, "6d9545fc5e439db40cb41d271e9d6c59"),
+    "evolve_three_slices": ([*EVOLVE_NEVER_CONVERGES, "--generations", "10000"],
+                            None, "ebe69ffc50acf59d500b9c238f517daf"),
     "simulate": (["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "65536", "--seed", "1"],
                  None, "c1abd192520909db4b77735477d74b70"),
     "simulate_multi_block_1_worker": (SIMULATE_MULTI_BLOCK, "1",

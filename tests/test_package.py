@@ -1,6 +1,7 @@
 """Package surface and start-up contract: the lazily loaded public names,
 ``--version``, the commands that must run without importing numpy (all but
-``simulate``), and the modules that no start-up path loads."""
+``simulate``), the modules that no start-up path loads, and the size of
+the source."""
 
 import json
 import re
@@ -19,6 +20,8 @@ README_ANALYTIC = (
     '"critical_ratio": 4.0, "cm_rational": true}\n'
 )
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "dispositions_sim"
+SOURCE_LINE_LIMIT = 1200
 
 # Makes any later ``import numpy`` raise ImportError in the child.
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
@@ -212,3 +215,15 @@ def test_an_explicit_import_does_load_dataclasses():
     """The diffs above would pass vacuously if a module they look for were
     loaded before them, or if they missed what a step loads."""
     assert {"dataclasses", "inspect"} <= modules_added("import dataclasses")
+
+
+# --- source size --------------------------------------------------------------
+
+
+def test_source_stays_within_its_line_limit():
+    """``cat src/dispositions_sim/*.py | wc -l`` stays at or below the limit:
+    wc counts newline bytes, so a last line without one does not count."""
+    paths = sorted(SOURCES.glob("*.py"))
+    assert paths
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    assert lines <= SOURCE_LINE_LIMIT, f"src/ is {lines} lines"

@@ -7,8 +7,6 @@ import hashlib
 import io
 import itertools
 import math
-import subprocess
-import sys
 from array import array
 from collections.abc import Sequence
 from pathlib import Path
@@ -29,6 +27,7 @@ from dispositions_sim import (
 from dispositions_sim import sweep
 from dispositions_sim.cli import main
 from dispositions_sim.sweep import PARAM_NAMES, SWEEP_HEADER, _fill_linspace
+from peak_rss import needs_procfs, peak_rss_kib
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -343,43 +342,14 @@ def test_a_grid_within_its_bounds_fills_every_axis(monkeypatch):
     assert filled == [(3, 0.0, 1.0), (2, 0.5, 1.0)]
 
 
-_PEAK_RSS_CHILD = """
-import sys
-from dispositions_sim.cli import main
-code = main(sys.argv[1:])
-sys.stdout.flush()
-with open("/proc/self/status") as status:
-    peak = next(line for line in status if line.startswith("VmHWM:"))
-print(code, peak.split()[1], file=sys.stderr)
-"""
-
-
-def _sweep_peak_rss_kib(argv, expected_code):
-    """Peak RSS, in KiB, of a ``sweep`` run in a fresh interpreter."""
-    result = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_CHILD, "sweep", *argv],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    code, peak_kib = result.stderr.splitlines()[-1].split()
-    assert code == str(expected_code), result.stderr
-    return int(peak_kib)
-
-
-needs_procfs = pytest.mark.skipif(
-    not Path("/proc/self/status").exists(), reason="needs VmHWM from procfs"
-)
-
-
 @needs_procfs
 def test_sweep_memory_does_not_grow_with_row_count():
     def grid(p_count, r_count):
         return ["--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
                 "--axis", f"p=0:1:{p_count}", "--axis", f"r=0:1:{r_count}"]
 
-    small = _sweep_peak_rss_kib(grid(100, 100), 0)  # 10^4 rows
-    large = _sweep_peak_rss_kib(grid(400, 500), 0)  # 2 x 10^5 rows
+    small = peak_rss_kib(["sweep", *grid(100, 100)], 0)  # 10^4 rows
+    large = peak_rss_kib(["sweep", *grid(400, 500)], 0)  # 2 x 10^5 rows
     assert abs(large - small) < 4 * 1024, (small, large)
 
 
@@ -399,8 +369,8 @@ def test_sweep_memory_does_not_grow_with_row_count():
 def test_sweep_memory_per_axis_point_is_about_the_axis_itself(argv, expected_code, counts):
     """An axis point costs its 8-byte double, not a Python object per point."""
     small, large = (
-        _sweep_peak_rss_kib(["--vnc", "0.5", "--vc", "0.75", *(a.format(n) for a in argv)],
-                            expected_code)
+        peak_rss_kib(["sweep", "--vnc", "0.5", "--vc", "0.75", *(a.format(n) for a in argv)],
+                     expected_code)
         for n in counts
     )
     assert (large - small) * 1024 < 16 * (counts[1] - counts[0]), (small, large)
