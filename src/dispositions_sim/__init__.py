@@ -5,22 +5,21 @@ validated by Monte Carlo simulation and extended with replicator dynamics.
 
 import importlib
 
-from .analytic import (
-    EuComparison, argument1_eus, argument2_eus, cm_rational, critical_ratio,
-    translucent_eu_cm, translucent_eu_sm,
-)
-from .core import (
-    InvalidInput, InvalidProbability, OrderingViolation, TranslucencyParams,
-    TranslucentPayoffs, TransparentPayoffs,
-)
-from .dynamics import Trajectory, TrajectoryStep, evolve, interior_threshold
-
 __version__ = "0.1.0"
 
-# The Monte Carlo names need numpy, so they load on first use (PEP 562): the
-# closed forms, the replicator model and the CLI's other commands need none.
-_LAZY = dict.fromkeys(("EncounterConfig", "RngStream"), "encounter")
-_LAZY.update(dict.fromkeys(("TrialReport", "InvalidTrialCount", "estimate_eus"), "montecarlo"))
+# Module -> its public names, in __all__ order; each loads on first access (PEP 562).
+_PUBLIC = {
+    "core": ("TransparentPayoffs", "TranslucentPayoffs", "TranslucencyParams",
+             "InvalidInput", "OrderingViolation", "InvalidProbability"),
+    "analytic": ("EuComparison", "argument1_eus", "argument2_eus", "translucent_eu_cm",
+                 "translucent_eu_sm", "critical_ratio", "cm_rational"),
+    "encounter": ("EncounterConfig", "RngStream"),
+    "montecarlo": ("TrialReport", "InvalidTrialCount", "estimate_eus"),
+    "dynamics": ("Trajectory", "TrajectoryStep", "evolve", "interior_threshold"),
+}
+_LAZY = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_LAZY, "__version__"]
 
 
 def __getattr__(name: str):
@@ -33,30 +32,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _LAZY.keys())
-
-
-__all__ = [
-    "TransparentPayoffs",
-    "TranslucentPayoffs",
-    "TranslucencyParams",
-    "InvalidInput",
-    "OrderingViolation",
-    "InvalidProbability",
-    "EuComparison",
-    "argument1_eus",
-    "argument2_eus",
-    "translucent_eu_cm",
-    "translucent_eu_sm",
-    "critical_ratio",
-    "cm_rational",
-    "EncounterConfig",
-    "RngStream",
-    "TrialReport",
-    "InvalidTrialCount",
-    "estimate_eus",
-    "Trajectory",
-    "TrajectoryStep",
-    "evolve",
-    "interior_threshold",
-    "__version__",
-]

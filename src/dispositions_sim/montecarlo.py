@@ -156,7 +156,8 @@ def estimate_eus(
 
     Raises:
         InvalidTrialCount: if n_trials < 1 or n_trials > 2**63 - 1.
-        InvalidInput: if seed < 0 or the worker count is malformed or < 0.
+        InvalidInput: if seed < 0, the worker count is malformed or < 0, or
+            the OS refuses a worker thread.
     """
     if n_trials < 1:
         raise InvalidTrialCount(f"n_trials must be >= 1, got {n_trials}")
@@ -197,7 +198,14 @@ def estimate_eus(
     with ThreadPoolExecutor(max(n_workers - 1, 1)) as pool:
         # A helper that fails to start stops those already started.
         try:
-            helpers = [pool.submit(drain) for _ in range(n_workers - 1)]
+            try:
+                helpers = [pool.submit(drain) for _ in range(n_workers - 1)]
+            except RuntimeError as exc:  # the OS refused a thread
+                source = (f" ({_THREADS_ENV_VAR}={os.environ[_THREADS_ENV_VAR]})"
+                          if workers is None and _THREADS_ENV_VAR in os.environ else "")
+                raise InvalidInput(
+                    f"cannot start {n_workers} Monte Carlo workers{source}: {exc}"
+                ) from exc
             counts = drain()
         finally:
             stop()

@@ -7,6 +7,7 @@ and no stdout.
 
 import contextlib
 import io
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -194,6 +195,24 @@ def test_single_fault_exits_2_with_its_line(argv, threads, line, tmp_path, monke
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", threads)
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert run_main(argv) == (2, "", line.replace("{dir}", str(tmp_path)) + "\n")
+
+
+def test_refused_worker_thread_exits_2_with_its_line(monkeypatch):
+    """The OS refusing a Monte Carlo worker thread, as when
+    DISPOSITIONS_SIM_THREADS asks for more threads than the process may
+    start, is a bad thread count. The first submit refuses, so no thread
+    starts and no block runs."""
+
+    class RefusingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RefusingPool)
+    monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "3")
+    argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", str(3 * montecarlo.BLOCK_TRIALS)]
+    line = ("error: cannot start 3 Monte Carlo workers (DISPOSITIONS_SIM_THREADS=3): "
+            "can't start new thread\n")
+    assert run_main(argv) == (2, "", line)
 
 
 def test_newline_in_an_echoed_input_is_escaped():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dispositions_sim.analytic import translucent_eu_cm, translucent_eu_sm
-from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
+from dispositions_sim.core import InvalidInput, TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.encounter import EncounterConfig
 from dispositions_sim import montecarlo
 from dispositions_sim.montecarlo import (
@@ -241,7 +241,8 @@ class TestDriver:
 
     def test_helper_that_fails_to_start_stops_the_others(self, monkeypatch):
         """A submit that cannot start its thread (as when the process is out
-        of threads) stops the helpers already started."""
+        of threads) stops the helpers already started, and the refusal is
+        reported as a bad worker count."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
         runs = record_blocks(monkeypatch)
         released = threading.Event()
@@ -263,7 +264,8 @@ class TestDriver:
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SecondSubmitFails)
         workers = 3  # the calling thread and one started helper: 2 threads
-        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        message = "^cannot start 3 Monte Carlo workers: can't start new thread$"
+        with pytest.raises(InvalidInput, match=message):
             estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
         assert SecondSubmitFails.submits == 2
         assert len(runs) <= workers + 4

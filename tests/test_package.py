@@ -1,7 +1,7 @@
 """Package surface and start-up contract: the lazily loaded public names,
 ``--version``, the commands that must run without importing numpy (all but
-``simulate``), the modules that no start-up path loads, and the size of
-the source."""
+``simulate``), the modules that no start-up path loads, the size of the
+source, and what the benchmark harness needs of the package."""
 
 import json
 import re
@@ -19,8 +19,9 @@ README_ANALYTIC = (
     '{"eu_cm": 0.575, "eu_sm": 0.525, "margin": 0.04999999999999993, '
     '"critical_ratio": 4.0, "cm_rational": true}\n'
 )
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SOURCES = Path(__file__).resolve().parents[1] / "src" / "dispositions_sim"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+SOURCES = ROOT / "src" / "dispositions_sim"
 SOURCE_LINE_LIMIT = 1200
 
 # Makes any later ``import numpy`` raise ImportError in the child.
@@ -64,6 +65,11 @@ def test_dir_lists_every_public_name():
 def test_lazy_name_is_the_defining_modules_object():
     assert dispositions_sim.estimate_eus is dispositions_sim.montecarlo.estimate_eus
     assert dispositions_sim.RngStream is dispositions_sim.encounter.RngStream
+    for name in dispositions_sim.__all__:
+        if name != "__version__":
+            obj = getattr(dispositions_sim, name)
+            assert obj.__module__.startswith("dispositions_sim."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj
 
 
 def test_unknown_attribute_raises_the_standard_error():
@@ -204,6 +210,19 @@ def modules_added(step):
     return set(err.split())
 
 
+@pytest.mark.parametrize(
+    "step, submodules",
+    [("import dispositions_sim", set()),
+     ("from dispositions_sim import cm_rational", {"analytic", "core"})],
+    ids=["package", "one-name"],
+)
+def test_package_loads_only_the_modules_of_the_names_used(step, submodules):
+    added = modules_added(step)
+    loaded = {name for name in added if name.startswith("dispositions_sim.")}
+    assert loaded == {f"dispositions_sim.{module}" for module in submodules}
+    assert "numpy" not in added
+
+
 @pytest.mark.parametrize("step", START_UP_STEPS.values(), ids=START_UP_STEPS)
 def test_start_up_loads_neither_dataclasses_nor_inspect(step):
     added = modules_added(step)
@@ -227,3 +246,31 @@ def test_source_stays_within_its_line_limit():
     assert paths
     lines = sum(path.read_bytes().count(b"\n") for path in paths)
     assert lines <= SOURCE_LINE_LIMIT, f"src/ is {lines} lines"
+
+
+# --- benchmark harness --------------------------------------------------------
+
+# Prints, one a line, the tracer targets that do not resolve, looked up as
+# ``tracer.install`` looks them up.
+UNRESOLVED_TRACER_TARGETS = """\
+import sys; sys.path.insert(0, 'benchmarks'); import run, tracer
+missing = {name for owner, attr, name, _, _ in tracer._patches()
+           if (owner.__dict__.get(attr) if isinstance(owner, type)
+               else getattr(owner, attr, None)) is None}
+print(*sorted(missing), sep='\\n')
+"""
+
+
+def test_benchmark_harness_imports_and_its_tracer_targets_resolve():
+    """``benchmarks/run.py`` and ``tracer.py`` import what they use of the
+    package, so a change to ``src/`` that removes one fails here, not in a
+    benchmark run. Every call site the tracer wraps must resolve too, or its
+    span and counter would read 0 without an error. ``montecarlo.estimate_eus``
+    is the known miss: cli imports estimate_eus per call, so the tracer's
+    ``cli.estimate_eus`` target is absent."""
+    result = subprocess.run(
+        [sys.executable, "-c", UNRESOLVED_TRACER_TARGETS],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert set(result.stdout.split()) == {"montecarlo.estimate_eus"}
