@@ -20,19 +20,20 @@ example p = q = 0) exact.
 Worker count is taken from the DISPOSITIONS_SIM_THREADS environment
 variable when not passed explicitly; 0 or unset means automatic. The
 calling thread and W - 1 helper threads claim blocks from one shared
-counter. Each worker draws into one reused row of ``BLOCK_TRIALS``
-doubles (512 KiB), which the block's three streams fill in turn, and
-keeps only the partner mask between them, so memory grows with the
-worker count and not with the number of trials.
+counter. The helpers are plain threads, joined before ``estimate_eus``
+returns, so no thread pool is loaded. Each worker draws into one reused
+row of ``BLOCK_TRIALS`` doubles (512 KiB), which the block's three
+streams fill in turn, and keeps only the partner mask between them, so
+memory grows with the worker count and not with the number of trials.
 """
 
 from __future__ import annotations
 
+import operator
 import os
-import threading
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from math import sqrt
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -106,6 +107,14 @@ def _run_block(
     return np.array([cm_coop, cm_exploited, sm_defect])
 
 
+def _index(value, name: str, error: type[InvalidInput] = InvalidInput) -> int:
+    """``value`` as an int; Python and numpy integers pass, anything else raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count from the argument or DISPOSITIONS_SIM_THREADS (0 = auto)."""
     if workers is None:
@@ -116,6 +125,7 @@ def resolve_workers(workers: int | None = None) -> int:
             raise InvalidInput(
                 f"{_THREADS_ENV_VAR} must be an integer, got {raw!r}"
             ) from None
+    workers = _index(workers, "workers")
     if workers < 0:
         raise InvalidInput(f"worker count must be >= 0, got {workers}")
     if workers == 0:
@@ -155,10 +165,13 @@ def estimate_eus(
     merge associatively, so the worker count never changes the report.
 
     Raises:
-        InvalidTrialCount: if n_trials < 1 or n_trials > 2**63 - 1.
-        InvalidInput: if seed < 0, the worker count is malformed or < 0, or
-            the OS refuses a worker thread.
+        InvalidTrialCount: if n_trials is not an integer, or n_trials < 1 or
+            n_trials > 2**63 - 1.
+        InvalidInput: if seed is not an integer or < 0, the worker count is
+            malformed or < 0, or the OS refuses a worker thread.
     """
+    n_trials = _index(n_trials, "n_trials", InvalidTrialCount)
+    seed = _index(seed, "seed")
     if n_trials < 1:
         raise InvalidTrialCount(f"n_trials must be >= 1, got {n_trials}")
     if n_trials > np.iinfo(np.int64).max:  # the outcome counts are int64
@@ -171,7 +184,7 @@ def estimate_eus(
     n_blocks = -(-n_trials // BLOCK_TRIALS)
     n_workers = min(resolve_workers(workers), n_blocks)
     unclaimed = iter(range(n_blocks))
-    claim_lock = threading.Lock()
+    claim_lock = Lock()
 
     def stop() -> None:
         """Leave nothing to claim, so every worker stops after its current block."""
@@ -194,23 +207,38 @@ def estimate_eus(
         finally:
             stop()  # a worker that fails or is interrupted stops the others
 
-    # The calling thread drains too; with one worker no thread starts.
-    with ThreadPoolExecutor(max(n_workers - 1, 1)) as pool:
-        # A helper that fails to start stops those already started.
+    results = []  # each helper's counts, or whatever it raised
+
+    def helper() -> None:
         try:
-            try:
-                helpers = [pool.submit(drain) for _ in range(n_workers - 1)]
-            except RuntimeError as exc:  # the OS refused a thread
-                source = (f" ({_THREADS_ENV_VAR}={os.environ[_THREADS_ENV_VAR]})"
-                          if workers is None and _THREADS_ENV_VAR in os.environ else "")
-                raise InvalidInput(
-                    f"cannot start {n_workers} Monte Carlo workers{source}: {exc}"
-                ) from exc
-            counts = drain()
-        finally:
-            stop()
-        for helper in helpers:
-            counts += helper.result()
+            results.append(drain())
+        except BaseException as exc:  # so nothing reaches threading.excepthook
+            results.append(exc)
+
+    # The calling thread drains too; with one worker no thread starts. A
+    # helper that fails to start stops those already started.
+    helpers = []  # the started threads only, as only those can be joined
+    try:
+        try:
+            for _ in range(n_workers - 1):
+                thread = Thread(target=helper)
+                thread.start()
+                helpers.append(thread)
+        except RuntimeError as exc:  # the OS refused a thread
+            source = (f" ({_THREADS_ENV_VAR}={os.environ[_THREADS_ENV_VAR]})"
+                      if workers is None and _THREADS_ENV_VAR in os.environ else "")
+            raise InvalidInput(
+                f"cannot start {n_workers} Monte Carlo workers{source}: {exc}"
+            ) from exc
+        counts = drain()
+    finally:
+        stop()
+        for thread in helpers:
+            thread.join()
+    for result in results:  # reached only if the calling thread raised nothing
+        if isinstance(result, BaseException):
+            raise result
+        counts += result
 
     # Each trial has one outcome per focal disposition, so non-cooperation
     # takes whatever trials the other outcomes leave.

@@ -68,6 +68,23 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, -1)
 
+    @pytest.mark.parametrize(
+        "seed, stream_id, first_draws",
+        [
+            (0, 0, ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"]),
+            (7, 3, ["0x1.f337991374b1ap-1", "0x1.c4e5ff35138ecp-1", "0x1.db135082c6e78p-3"]),
+            (2**70, 5,
+             ["0x1.dd84648a15d97p-1", "0x1.20bc0f21fca88p-2", "0x1.4f3e551dff743p-1"]),
+        ],
+        ids=["0-0", "7-3", "2**70-5"],
+    )
+    def test_first_draws_are_pinned(self, seed, stream_id, first_draws):
+        """Every ``simulate`` output rests on numpy's PCG64 stream seeded by
+        ``SeedSequence([seed, stream_id])``; a numpy that changes that stream
+        fails here by name, not only as a changed ``simulate`` checksum."""
+        draws = RngStream(seed, stream_id).uniforms(3, np.empty(3)).tolist()
+        assert draws == [float.fromhex(text) for text in first_draws]
+
 
 class TestResolveEncounter:
     def test_sm_vs_sm_is_mutual_noncooperation(self):

@@ -7,7 +7,7 @@ and no stdout.
 
 import contextlib
 import io
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -40,6 +40,13 @@ def run_main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def reference_config():
+    return EncounterConfig(
+        payoffs=TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75),
+        params=TranslucencyParams(p=0.8, q=0.1, r=0.5),
+    )
 
 
 def test_input_errors_share_one_base():
@@ -86,12 +93,37 @@ class TestLibraryChecks:
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(montecarlo, "block_streams", no_blocks)
-        cfg = EncounterConfig(
-            payoffs=TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75),
-            params=TranslucencyParams(p=0.8, q=0.1, r=0.5),
-        )
+        cfg = reference_config()
         with pytest.raises(InvalidInput, match=r"^seed must be >= 0, got -1$"):
             estimate_eus(cfg, 10, -1)
+
+    @pytest.mark.parametrize(
+        "argument, value, error",
+        [("n_trials", 1.5, InvalidTrialCount), ("seed", 1.5, InvalidInput),
+         ("workers", 1.5, InvalidInput), ("workers", 2.0, InvalidInput),
+         ("workers", float("nan"), InvalidInput), ("workers", "2", InvalidInput)],
+        ids=["n_trials-float", "seed-float", "workers-float", "workers-integral-float",
+             "workers-nan", "workers-str"],
+    )
+    def test_malformed_integer_argument_rejected_before_any_block(
+        self, monkeypatch, argument, value, error
+    ):
+        """A float or string where ``estimate_eus`` takes an integer is the
+        caller's fault, even when it would truncate to a valid count."""
+
+        def no_blocks(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(montecarlo, "block_streams", no_blocks)
+        cfg = reference_config()
+        arguments = {"n_trials": 200_000, "seed": 0, "workers": 2, argument: value}
+        with pytest.raises(error, match=rf"^{argument} must be an integer, got {value!r}$"):
+            estimate_eus(cfg, **arguments)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        cfg = reference_config()
+        numpy_ints = estimate_eus(cfg, np.int64(200_000), np.uint8(3), np.int32(2))
+        assert numpy_ints == estimate_eus(cfg, 200_000, 3, 2)
 
 
 # (argv, DISPOSITIONS_SIM_THREADS or None, the exact stderr line). "{dir}"
@@ -200,14 +232,14 @@ def test_single_fault_exits_2_with_its_line(argv, threads, line, tmp_path, monke
 def test_refused_worker_thread_exits_2_with_its_line(monkeypatch):
     """The OS refusing a Monte Carlo worker thread, as when
     DISPOSITIONS_SIM_THREADS asks for more threads than the process may
-    start, is a bad thread count. The first submit refuses, so no thread
+    start, is a bad thread count. The first start refuses, so no thread
     starts and no block runs."""
 
-    class RefusingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
+    class RefusingThread(threading.Thread):
+        def start(self):
             raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RefusingPool)
+    monkeypatch.setattr(montecarlo, "Thread", RefusingThread)
     monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "3")
     argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", str(3 * montecarlo.BLOCK_TRIALS)]
     line = ("error: cannot start 3 Monte Carlo workers (DISPOSITIONS_SIM_THREADS=3): "

@@ -1,11 +1,11 @@
 """Monte Carlo estimator: scalar-path equivalence, determinism, and
 agreement with the closed forms it exists to check."""
 
+import contextlib
 import sys
 import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -240,35 +240,103 @@ class TestDriver:
         assert 5 <= len(runs) <= workers + 4
 
     def test_helper_that_fails_to_start_stops_the_others(self, monkeypatch):
-        """A submit that cannot start its thread (as when the process is out
-        of threads) stops the helpers already started, and the refusal is
+        """A helper thread that cannot start (as when the process is out of
+        threads) stops the helpers already started, and the refusal is
         reported as a bad worker count."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
         runs = record_blocks(monkeypatch)
         released = threading.Event()
 
-        class SecondSubmitFails(ThreadPoolExecutor):
-            submits = 0
+        class SecondStartFails(threading.Thread):
+            starts = 0
 
-            def submit(self, fn, /, *args, **kwargs):
-                SecondSubmitFails.submits += 1
-                if SecondSubmitFails.submits == 2:
+            def start(self):
+                SecondStartFails.starts += 1
+                if SecondStartFails.starts == 2:
                     raise RuntimeError("can't start new thread")
-                # The started helper claims blocks only once the pool shuts
-                # down, after the error has left the body of its with block.
-                return super().submit(lambda: released.wait(60) and fn(*args, **kwargs))
+                super().start()
 
-            def shutdown(self, *args, **kwargs):
+            def run(self):
+                # The started helper claims blocks only once it is joined,
+                # after the error has left the body of the driver's try.
+                released.wait(60) and super().run()
+
+            def join(self, timeout=None):
                 released.set()
-                super().shutdown(*args, **kwargs)
+                super().join(timeout)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SecondSubmitFails)
+        monkeypatch.setattr(montecarlo, "Thread", SecondStartFails)
         workers = 3  # the calling thread and one started helper: 2 threads
         message = "^cannot start 3 Monte Carlo workers: can't start new thread$"
         with pytest.raises(InvalidInput, match=message):
             estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
-        assert SecondSubmitFails.submits == 2
+        assert SecondStartFails.starts == 2
         assert len(runs) <= workers + 4
+
+    @pytest.mark.parametrize("fault", ["none", "failing_block", "refused_start"])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_no_helper_outlives_the_call_or_reaches_excepthook(
+        self, monkeypatch, workers, fault
+    ):
+        """Every helper that started is joined before ``estimate_eus`` returns
+        or raises, and whatever a helper raises is handed to the caller, not
+        to ``threading.excepthook`` (which would print it to stderr)."""
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        outcome = contextlib.nullcontext()
+        if fault == "failing_block":
+            record_blocks(monkeypatch, fail_at=4)
+            outcome = pytest.raises(RuntimeError, match="^block 4 failed$")
+        elif fault == "refused_start":
+
+            class LastStartRefused(threading.Thread):
+                """Starts all but the last helper, so the others must be joined."""
+                starts = 0
+
+                def start(self):
+                    LastStartRefused.starts += 1
+                    if LastStartRefused.starts == workers - 1:
+                        raise RuntimeError("can't start new thread")
+                    super().start()
+
+            monkeypatch.setattr(montecarlo, "Thread", LastStartRefused)
+            outcome = pytest.raises(InvalidInput, match="can't start new thread$")
+        before = threading.enumerate()
+        with outcome:
+            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+        assert threading.enumerate() == before
+        assert hooked == []
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_what_a_helper_raises_reaches_the_caller(self, monkeypatch, workers):
+        """Even an exception that is not an ``Exception`` (as ``SystemExit``
+        or ``KeyboardInterrupt`` are not) is re-raised by ``estimate_eus``
+        rather than handed to ``threading.excepthook``. The calling thread
+        holds its first block until a helper has raised."""
+
+        class Interrupt(BaseException):
+            pass
+
+        caller, interrupted = threading.get_ident(), threading.Event()
+        original = montecarlo.block_streams
+
+        def interrupt_the_helpers(seed, block_index):
+            if threading.get_ident() != caller:
+                interrupted.set()
+                raise Interrupt
+            interrupted.wait(60)
+            return original(seed, block_index)
+
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "block_streams", interrupt_the_helpers)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = threading.enumerate()
+        with pytest.raises(Interrupt):
+            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+        assert threading.enumerate() == before
+        assert hooked == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_the_block_count(self, monkeypatch, workers):

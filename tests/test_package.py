@@ -230,10 +230,28 @@ def test_start_up_loads_neither_dataclasses_nor_inspect(step):
     assert not added & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_loads_no_thread_pool(threads):
+    """The Monte Carlo helpers are plain threads: a multi-block ``simulate``
+    loads neither ``concurrent.futures`` nor what it would bring along."""
+    argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "200000", "--seed", "3"]
+    step = (f"import os; os.environ['DISPOSITIONS_SIM_THREADS'] = {threads!r}\n"
+            + RUN_MAIN.format(argv=argv))
+    added = modules_added(step)
+    assert {"dispositions_sim.montecarlo", "numpy"} <= added
+    assert not added & {"concurrent.futures", "logging", "queue"}
+
+
 def test_an_explicit_import_does_load_dataclasses():
     """The diffs above would pass vacuously if a module they look for were
     loaded before them, or if they missed what a step loads."""
     assert {"dataclasses", "inspect"} <= modules_added("import dataclasses")
+
+
+def test_an_explicit_import_does_load_the_thread_pool():
+    """As above, for the modules that ``simulate`` must not load."""
+    added = modules_added("import concurrent.futures.thread")
+    assert {"concurrent.futures", "logging", "queue"} <= added
 
 
 # --- source size --------------------------------------------------------------
