@@ -74,10 +74,7 @@ def argument2_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     defects otherwise, so her expectation is p*u_coop + (1-p)*u_both_defect,
     which strictly exceeds u_both_defect whenever p > 0.
     """
-    check_probability("p", p)
-    eu_sm = pay.u_both_defect
-    eu_cm = p * pay.u_coop + (1.0 - p) * pay.u_both_defect
-    return EuComparison(eu_sm=eu_sm, eu_cm=eu_cm)
+    return argument1_eus(pay, p)._replace(eu_sm=pay.u_both_defect)
 
 
 # The closed forms, written once for every caller: the public functions below,

@@ -40,9 +40,10 @@ class RngStream:
             np.random.PCG64(np.random.SeedSequence([seed, stream_id]))
         )
 
-    def uniforms(self, n: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out[:n]`` with the next ``n`` uniform draws in [0, 1) and
-        return that view; identical to ``n`` single draws."""
-        if not 0 <= n <= len(out):
-            raise InvalidInput(f"n must be >= 0 and <= len(out) = {len(out)}, got {n}")
-        return self._gen.random(out=out[:n])
+    def uniforms(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the next ``out.size`` uniform draws in [0, 1), in
+        memory order, and return it; identical to ``out.size`` single draws."""
+        try:
+            return self._gen.random(out=out)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"out must be a writable, contiguous float64 array: {exc}") from exc

@@ -21,10 +21,10 @@ Worker count is taken from the DISPOSITIONS_SIM_THREADS environment
 variable when not passed explicitly; 0 or unset means automatic. The
 calling thread and W - 1 helper threads claim blocks from one shared
 counter. The helpers are plain threads, joined before ``estimate_eus``
-returns, so no thread pool is loaded. Each worker draws into one reused
-row of ``BLOCK_TRIALS`` doubles (512 KiB), which the block's three
-streams fill in turn, and keeps only the partner mask between them, so
-memory grows with the worker count and not with the number of trials.
+returns, so no thread pool is loaded. Each worker reuses one row of
+``BLOCK_TRIALS`` doubles (512 KiB): a block draws into its view of that
+row, which its three streams fill in turn, keeping only the partner mask
+between them; memory grows with the worker count, not the trial count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from threading import Lock, Thread
 
 import numpy as np
 
-from .core import InvalidInput, _Record
+from .core import InvalidInput, TranslucencyParams, _Record
 from .encounter import EncounterConfig, RngStream
 
 BLOCK_TRIALS = 65_536
@@ -76,7 +76,7 @@ def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, Rn
 
 
 def _run_block(
-    cfg: EncounterConfig, seed: int, block_index: int, trials: int, row: np.ndarray
+    params: TranslucencyParams, seed: int, block_index: int, row: np.ndarray
 ) -> np.ndarray:
     """The block's ``(cm_coop, cm_exploited, sm_defect)`` counts, vectorized.
 
@@ -91,19 +91,19 @@ def _run_block(
     assignment changes, which stabilizes paired comparisons across
     experiment variants. The counts equal those of the scalar oracle,
     ``tests/scalar_oracle.py``, run trial by trial over the same streams
-    (asserted by the test suite). The partner, constrained-focal and
-    straightforward-focal streams draw in that order into the first
-    ``trials`` entries of the reused row ``row``, each used up before the
-    next overwrites it; only the partner mask outlives its draws.
+    (asserted by the test suite). ``row`` is the block's view of its
+    worker's reused row, one entry per trial. The partner, constrained-focal
+    and straightforward-focal streams draw into it in that order, each used
+    up before the next overwrites it; only the partner mask outlives them.
     """
     partner_rng, cm_rng, sm_rng = block_streams(seed, block_index)
-    p, q, r = cfg.params.p, cfg.params.q, cfg.params.r
+    p, q, r = params
 
-    partner_is_cm = partner_rng.uniforms(trials, row) < r
-    u_cm_focal = cm_rng.uniforms(trials, row)
+    partner_is_cm = partner_rng.uniforms(row) < r
+    u_cm_focal = cm_rng.uniforms(row)
     cm_coop = np.count_nonzero(partner_is_cm & (u_cm_focal < p))
     cm_exploited = np.count_nonzero(~partner_is_cm & (u_cm_focal < q))
-    sm_defect = np.count_nonzero(partner_is_cm & (sm_rng.uniforms(trials, row) < q))
+    sm_defect = np.count_nonzero(partner_is_cm & (sm_rng.uniforms(row) < q))
     return np.array([cm_coop, cm_exploited, sm_defect])
 
 
@@ -128,14 +128,10 @@ def resolve_workers(workers: int | None = None) -> int:
     workers = _index(workers, "workers")
     if workers < 0:
         raise InvalidInput(f"worker count must be >= 0, got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
+    return workers or os.cpu_count() or 1
 
 
-def _mean_and_stderr(
-    counts: dict[float, int], n: int
-) -> tuple[float, float]:
+def _mean_and_stderr(counts: dict[float, int], n: int) -> tuple[float, float]:
     """Mean and standard error of a payoff taking finitely many values.
 
     Computed from exact integer counts: mean = sum v * (c_v / n). The
@@ -202,8 +198,8 @@ def estimate_eus(
                     index = next(unclaimed, None)
                 if index is None:
                     return counts
-                trials = min(BLOCK_TRIALS, n_trials - index * BLOCK_TRIALS)
-                counts += _run_block(cfg, seed, index, trials, row)
+                block_row = row[: n_trials - index * BLOCK_TRIALS]
+                counts += _run_block(cfg.params, seed, index, block_row)
         finally:
             stop()  # a worker that fails or is interrupted stops the others
 

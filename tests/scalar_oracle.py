@@ -18,7 +18,7 @@ from dispositions_sim.encounter import EncounterConfig, RngStream
 
 def uniform(rng: RngStream) -> float:
     """The stream's next uniform draw in [0, 1), through a one-slot buffer."""
-    return float(rng.uniforms(1, np.empty(1))[0])
+    return float(rng.uniforms(np.empty(1))[0])
 
 
 def resolve_encounter(

@@ -621,3 +621,44 @@ def test_stdout_matches_pinned_md5(name, capsys, monkeypatch):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+class WriteAndFlushOnly:
+    """A stdout with nothing but ``write`` and ``flush``, like the benchmark's
+    stand-ins (``CountingStdout`` in ``benchmarks/tracer.py`` and the sink of
+    ``benchmarks/run.py``): a writer that used anything else, such as
+    ``writelines``, would raise ``AttributeError`` there and exit 1."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# A multi-block simulate, a sweep of three two-row spans and an evolve whose
+# rows come in three slices, so every writer runs more than once.
+NARROW_STDOUT_RUNS = {
+    "analytic": ["analytic", *REFERENCE_FLAGS, "--r", "0.5"],
+    "simulate_multi_block": ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "200001",
+                             "--seed", "3"],
+    "sweep_multi_span": ["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
+                         "--axis", "r=0:1:3", "--axis", "p=0:1:2"],
+    "evolve_three_slices": [*EVOLVE_NEVER_CONVERGES, "--generations", "10000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_STDOUT_RUNS))
+def test_cli_writes_stdout_only_through_write_and_flush(name):
+    argv = NARROW_STDOUT_RUNS[name]
+    narrow, full = WriteAndFlushOnly(), io.StringIO()
+    with contextlib.redirect_stdout(narrow):
+        narrow_code = main(argv)
+    with contextlib.redirect_stdout(full):
+        full_code = main(argv)
+    assert (narrow_code, full_code) == (0, 0)
+    assert "".join(narrow.parts) == full.getvalue()

@@ -51,16 +51,24 @@ class TestRngStream:
         scalar = RngStream(9, 3)
         batched = RngStream(9, 3)
         singles = [uniform(scalar) for _ in range(64)]
-        # The draws fill out[:n] and continue the stream; the rest of the
-        # buffer is left untouched.
+        # The draws fill the buffer given, a view such as out[:16] too, and
+        # continue the stream; the rest of out is left untouched.
         out = np.full(48, -1.0)
-        first = batched.uniforms(48, out)
+        first = batched.uniforms(out)
         assert np.shares_memory(first, out)
         assert first.tolist() == singles[:48]
-        second = batched.uniforms(16, out)
+        second = batched.uniforms(out[:16])
         assert second.tolist() == singles[48:]
         assert out[16:].tolist() == singles[16:48]
-        assert batched.uniforms(0, out).tolist() == []
+        assert batched.uniforms(out[:0]).tolist() == []
+
+    def test_buffer_of_any_shape_gets_one_draw_per_entry(self):
+        scalar = RngStream(9, 3)
+        singles = [uniform(scalar) for _ in range(5)]
+        stream = RngStream(9, 3)
+        grid = stream.uniforms(np.empty((2, 2)))
+        assert grid.tolist() == [singles[0:2], singles[2:4]]
+        assert uniform(stream) == singles[4]
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +90,7 @@ class TestRngStream:
         """Every ``simulate`` output rests on numpy's PCG64 stream seeded by
         ``SeedSequence([seed, stream_id])``; a numpy that changes that stream
         fails here by name, not only as a changed ``simulate`` checksum."""
-        draws = RngStream(seed, stream_id).uniforms(3, np.empty(3)).tolist()
+        draws = RngStream(seed, stream_id).uniforms(np.empty(3)).tolist()
         assert draws == [float.fromhex(text) for text in first_draws]
 
 

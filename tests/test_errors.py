@@ -49,6 +49,11 @@ def reference_config():
     )
 
 
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 def test_input_errors_share_one_base():
     for check in (OrderingViolation, InvalidProbability, InvalidTrialCount):
         assert check.__bases__ == (InvalidInput,)
@@ -69,17 +74,20 @@ class TestLibraryChecks:
             RngStream(-1)
 
     @pytest.mark.parametrize(
-        "n, out, message",
+        "out",
         [
-            (-1, 48, r"^n must be >= 0 and <= len\(out\) = 48, got -1$"),
-            (100, 48, r"^n must be >= 0 and <= len\(out\) = 48, got 100$"),
-            (49, 48, r"^n must be >= 0 and <= len\(out\) = 48, got 49$"),
+            np.empty(4, dtype=np.float32),
+            np.empty(4, dtype=np.int64),
+            np.empty(4)[::2],
+            read_only(np.empty(4)),
+            [0.0] * 4,
         ],
-        ids=["negative_into_out", "past_out", "one_past_out"],
+        ids=["float32", "int64", "strided", "read_only", "list"],
     )
-    def test_uniforms_never_returns_fewer_draws_than_asked(self, n, out, message):
-        with pytest.raises(InvalidInput, match=message):
-            RngStream(0).uniforms(n, np.empty(out))
+    def test_uniforms_rejects_a_buffer_it_cannot_fill(self, out):
+        # Only the prefix is ours; the rest is numpy's wording, which varies by version.
+        with pytest.raises(InvalidInput, match=r"^out must be "):
+            RngStream(0).uniforms(out)
 
     def test_worker_count(self, monkeypatch):
         with pytest.raises(InvalidInput, match=r"^worker count must be >= 0, got -2$"):

@@ -139,7 +139,7 @@ class TestScalarEquivalence:
         cfg = make_config(v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
         for block_index, trials in enumerate((4096, 2731)):
             row = np.zeros(montecarlo.BLOCK_TRIALS)
-            counts = montecarlo._run_block(cfg, 13, block_index, trials, row)
+            counts = montecarlo._run_block(cfg.params, 13, block_index, row[:trials])
             streams = block_streams(13, block_index)
             outcomes = Counter(run_trial(cfg, *streams) for _ in range(trials))
             assert counts.tolist() == [

@@ -4,6 +4,7 @@
 source, and what the benchmark harness needs of the package."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -292,3 +293,40 @@ def test_benchmark_harness_imports_and_its_tracer_targets_resolve():
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert set(result.stdout.split()) == {"montecarlo.estimate_eus"}
+
+
+# Runs ``simulate`` through ``cli.main`` under the benchmark's tracer, stdout
+# sent to a sink with only ``write`` and ``flush`` as in a traced run, and
+# prints the exit code and the tracer's report as JSON.
+TRACED_SIMULATE = """\
+import contextlib, json, sys; sys.path.insert(0, 'benchmarks'); import tracer
+from dispositions_sim import cli
+class Sink:
+    def write(self, text): return len(text)
+    def flush(self): pass
+t = tracer.Tracer(); tracer.install(t)
+with contextlib.redirect_stdout(Sink()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, **t.report()}))
+"""
+TRACED_SIMULATE_ARGV = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "200001",
+                        "--seed", "3"]
+
+
+def test_tracer_counts_every_monte_carlo_draw_and_stream():
+    """The benchmark reads ``encounter.draws`` and the stream spans of a traced
+    run; a change to the Monte Carlo layer that zeroed or skewed them would
+    raise no error. 200 001 trials are four blocks, the last one partial:
+    three draws a trial, three ``uniforms`` calls and one ``block_streams``
+    call a block."""
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_SIMULATE, *TRACED_SIMULATE_ARGV],
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "DISPOSITIONS_SIM_THREADS": "1"},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout)
+    assert report["code"] == 0
+    assert report["counts"]["encounter.draws"] == 3 * 200_001
+    assert report["spans"]["encounter.uniforms"][0] == 12
+    assert report["spans"]["montecarlo.block_streams"][0] == 4
