@@ -145,8 +145,9 @@ def cmd_analytic(settings: Settings) -> None:
 
 
 def cmd_simulate(settings: Settings) -> None:
-    from .encounter import EncounterConfig
+    # First, so an uncached montecarlo.py compiles before numpy loads: lower peak RSS.
     from .montecarlo import estimate_eus
+    from .encounter import EncounterConfig
 
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])

@@ -21,10 +21,12 @@ Worker count is taken from the DISPOSITIONS_SIM_THREADS environment
 variable when not passed explicitly; 0 or unset means automatic. The
 calling thread and W - 1 helper threads claim blocks from one shared
 counter. The helpers are plain threads, joined before ``estimate_eus``
-returns, so no thread pool is loaded. Each worker reuses one row of
-``BLOCK_TRIALS`` doubles (512 KiB): a block draws into its view of that
-row, which its three streams fill in turn, keeping only the partner mask
-between them; memory grows with the worker count, not the trial count.
+returns, so no thread pool is loaded. Each worker allocates, once, one row
+of ``BLOCK_TRIALS`` doubles (512 KiB) and two boolean masks of 64 KiB: a
+block draws into its view of that row, which its three streams fill in
+turn, and compares into its views of the masks, so a block allocates no
+array but its three counts; memory grows with the worker count, not the
+trial count.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, Rn
 
 
 def _run_block(
-    params: TranslucencyParams, seed: int, block_index: int, row: np.ndarray
+    params: TranslucencyParams, seed: int, block_index: int,
+    row: np.ndarray, partner: np.ndarray, hits: np.ndarray,
 ) -> np.ndarray:
     """The block's ``(cm_coop, cm_exploited, sm_defect)`` counts, vectorized.
 
@@ -91,19 +94,26 @@ def _run_block(
     assignment changes, which stabilizes paired comparisons across
     experiment variants. The counts equal those of the scalar oracle,
     ``tests/scalar_oracle.py``, run trial by trial over the same streams
-    (asserted by the test suite). ``row`` is the block's view of its
-    worker's reused row, one entry per trial. The partner, constrained-focal
-    and straightforward-focal streams draw into it in that order, each used
-    up before the next overwrites it; only the partner mask outlives them.
+    (asserted by the test suite). ``row``, ``partner`` and ``hits`` are the
+    block's views of its worker's reused draw row and two boolean masks, one
+    entry per trial, whatever they held before. The three streams draw into
+    ``row`` in turn, each used up before the next overwrites it; ``partner``
+    keeps the partner compare and ``hits`` takes every other, so a block
+    allocates no array but its counts.
     """
     partner_rng, cm_rng, sm_rng = block_streams(seed, block_index)
     p, q, r = params
 
-    partner_is_cm = partner_rng.uniforms(row) < r
+    np.less(partner_rng.uniforms(row), r, out=partner)
     u_cm_focal = cm_rng.uniforms(row)
-    cm_coop = np.count_nonzero(partner_is_cm & (u_cm_focal < p))
-    cm_exploited = np.count_nonzero(~partner_is_cm & (u_cm_focal < q))
-    sm_defect = np.count_nonzero(partner_is_cm & (sm_rng.uniforms(row) < q))
+    np.less(u_cm_focal, p, out=hits)
+    cm_coop = np.count_nonzero(np.logical_and(partner, hits, out=hits))
+    # Exploited: u < q with a straightforward partner, all u < q but the constrained.
+    np.less(u_cm_focal, q, out=hits)
+    cm_exploited = np.count_nonzero(hits)
+    cm_exploited -= np.count_nonzero(np.logical_and(partner, hits, out=hits))
+    np.less(sm_rng.uniforms(row), q, out=hits)
+    sm_defect = np.count_nonzero(np.logical_and(partner, hits, out=hits))
     return np.array([cm_coop, cm_exploited, sm_defect])
 
 
@@ -190,7 +200,7 @@ def estimate_eus(
 
     def drain() -> np.ndarray:
         """Run unclaimed blocks until none are left; their summed counts."""
-        row = np.empty(BLOCK_TRIALS)
+        row, partner, hits = np.empty(BLOCK_TRIALS), *np.empty((2, BLOCK_TRIALS), bool)
         counts = np.zeros(3, dtype=np.int64)
         try:
             while True:
@@ -198,8 +208,9 @@ def estimate_eus(
                     index = next(unclaimed, None)
                 if index is None:
                     return counts
-                block_row = row[: n_trials - index * BLOCK_TRIALS]
-                counts += _run_block(cfg.params, seed, index, block_row)
+                trials = n_trials - index * BLOCK_TRIALS
+                counts += _run_block(cfg.params, seed, index,
+                                     row[:trials], partner[:trials], hits[:trials])
         finally:
             stop()  # a worker that fails or is interrupted stops the others
 

@@ -52,8 +52,8 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_cli_bytes(argv, env_threads=None):
-    """Run the CLI in a subprocess and return (exit code, raw stdout bytes)."""
+def run_cli_process(argv, env_threads=None):
+    """Run the CLI in a subprocess; its ``CompletedProcess``, output as bytes."""
     import os
 
     env = dict(os.environ)
@@ -61,11 +61,16 @@ def run_cli_bytes(argv, env_threads=None):
         env["DISPOSITIONS_SIM_THREADS"] = env_threads
     else:
         env.pop("DISPOSITIONS_SIM_THREADS", None)
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "dispositions_sim", *argv],
         capture_output=True,
         env=env,
     )
+
+
+def run_cli_bytes(argv, env_threads=None):
+    """Run the CLI in a subprocess and return (exit code, raw stdout bytes)."""
+    result = run_cli_process(argv, env_threads)
     return result.returncode, result.stdout
 
 
@@ -568,15 +573,13 @@ class TestDeterminism:
     def test_simulate_byte_identical_across_runs_and_thread_counts(self):
         argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "200000",
                 "--seed", "42"]
-        runs = [
-            run_cli_bytes(argv, env_threads=None),
-            run_cli_bytes(argv, env_threads="1"),
-            run_cli_bytes(argv, env_threads="4"),
-        ]
-        assert all(code == 0 for code, _ in runs)
-        outputs = {out for _, out in runs}
-        assert len(outputs) == 1
-        assert b"\r" not in runs[0][1]  # LF line endings only
+        runs = {threads: run_cli_process(argv, env_threads=threads)
+                for threads in (None, "1", "4")}
+        for threads, run in runs.items():
+            setting = f"DISPOSITIONS_SIM_THREADS={threads or '(unset)'}"
+            assert run.returncode == 0, f"{setting}: exit {run.returncode}, stderr {run.stderr!r}"
+            assert run.stdout == runs[None].stdout, f"{setting}: stdout differs from unset's"
+        assert b"\r" not in runs[None].stdout  # LF line endings only
 
     def test_sweep_byte_identical_across_runs(self):
         argv = ["sweep", *REFERENCE_FLAGS, "--axis", "r=0.05:0.95:19"]

@@ -131,22 +131,28 @@ class TestScalarEquivalence:
         "changes", SCALAR_EQUIVALENCE_POINTS.values(), ids=SCALAR_EQUIVALENCE_POINTS.keys()
     )
     def test_block_reads_only_fresh_draws_of_its_reused_row(self, monkeypatch, changes):
-        """On a row of stale zeros, which would count as hits, a full and then
+        """On a row of stale zeros, which would count as hits, and on masks
+        stale all through, first all true and then all false, a full and then
         a partial block count what the scalar oracle counts trial by trial:
         each stream's draws are read before the next stream overwrites them,
-        and nothing past the block's ``trials`` entries is read."""
+        each mask entry is written before it is read, and nothing past the
+        block's ``trials`` entries is read."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 4096)
         cfg = make_config(v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
         for block_index, trials in enumerate((4096, 2731)):
-            row = np.zeros(montecarlo.BLOCK_TRIALS)
-            counts = montecarlo._run_block(cfg.params, 13, block_index, row[:trials])
             streams = block_streams(13, block_index)
             outcomes = Counter(run_trial(cfg, *streams) for _ in range(trials))
-            assert counts.tolist() == [
-                sum(n for (cm, _), n in outcomes.items() if cm == "cooperation"),
-                sum(n for (cm, _), n in outcomes.items() if cm == "exploitation"),
-                sum(n for (_, sm), n in outcomes.items() if sm == "defection"),
-            ]
+            for stale_mask in (True, False):
+                row = np.zeros(montecarlo.BLOCK_TRIALS)
+                partner, hits = np.full((2, montecarlo.BLOCK_TRIALS), stale_mask)
+                counts = montecarlo._run_block(
+                    cfg.params, 13, block_index, row[:trials], partner[:trials], hits[:trials]
+                )
+                assert counts.tolist() == [
+                    sum(n for (cm, _), n in outcomes.items() if cm == "cooperation"),
+                    sum(n for (cm, _), n in outcomes.items() if cm == "exploitation"),
+                    sum(n for (_, sm), n in outcomes.items() if sm == "defection"),
+                ], f"masks stale at {stale_mask}, {trials} trials"
 
 
 class TestDegenerateConfigs:
@@ -346,8 +352,23 @@ class TestDriver:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_working_set_is_one_draw_row_per_worker(self, workers):
         """At the real block size, a worker holds one reused row of draws
-        (512 KiB) and the partner mask, not a buffer per stream."""
+        (512 KiB) and two 64 KiB masks, not a buffer per stream."""
         assert traced_peak(8 * montecarlo.BLOCK_TRIALS + 17, workers) < workers * 1024 * 1024
+
+    def test_a_warm_block_allocates_no_array(self):
+        """On a row and masks already allocated, a full block allocates no
+        array of its own: a single 64 KiB mask would exceed the bound."""
+        row = np.empty(montecarlo.BLOCK_TRIALS)
+        partner, hits = np.empty((2, montecarlo.BLOCK_TRIALS), bool)
+        params = make_config().params
+        montecarlo._run_block(params, 0, 0, row, partner, hits)
+        tracemalloc.start()
+        try:
+            montecarlo._run_block(params, 0, 1, row, partner, hits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 def traced_peak(n_trials: int, workers: int) -> int:

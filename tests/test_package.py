@@ -243,6 +243,33 @@ def test_simulate_loads_no_thread_pool(threads):
     assert not added & {"concurrent.futures", "logging", "queue"}
 
 
+# Writes to stderr whether dispositions_sim.montecarlo was in sys.modules when
+# numpy was first looked for, then runs STEP. A finished import moves its module
+# to the end of sys.modules, so the order of that dict cannot tell.
+MONTECARLO_BEFORE_NUMPY = (
+    "import sys\n"
+    "class Probe:\n"
+    "    seen = []\n"
+    "    @classmethod\n"
+    "    def find_spec(cls, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not cls.seen:\n"
+    "            cls.seen.append('dispositions_sim.montecarlo' in sys.modules)\n"
+    "sys.meta_path.insert(0, Probe)\n"
+    "{step}\n"
+    "sys.stderr.write(repr(Probe.seen))\n"
+)
+
+
+def test_simulate_compiles_montecarlo_before_numpy_loads():
+    """``simulate`` imports ``montecarlo`` before numpy, so that module's source,
+    when no bytecode is cached, compiles before numpy's memory is taken."""
+    argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"]
+    step = MONTECARLO_BEFORE_NUMPY.format(step=RUN_MAIN.format(argv=argv))
+    code, out, err = run_python(step, block_numpy=False)
+    assert (code, err) == (0, "[True]")
+    assert json.loads(out)["n_trials"] == 1000
+
+
 def test_an_explicit_import_does_load_dataclasses():
     """The diffs above would pass vacuously if a module they look for were
     loaded before them, or if they missed what a step loads."""
