@@ -57,7 +57,8 @@ def argument1_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     collects the cooperative payoff. Under this (flawed) assumption the
     straightforward disposition dominates; the flaw is that conditional
     cooperators do not cooperate with recognized defectors, which is what
-    ``argument2_eus`` corrects.
+    ``argument2_eus`` corrects. Normalized, this is the translucent corner
+    p = 1, q = 0, r = ``p``, except that ``eu_sm`` is taken at q = 1.
     """
     check_probability("p", p)
     eu_sm = p * pay.u_temptation + (1.0 - p) * pay.u_both_defect
@@ -72,7 +73,8 @@ def argument2_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
     so her expectation is the mutual-defection payoff. A constrained
     maximizer cooperates with the like-disposed (probability ``p``) and
     defects otherwise, so her expectation is p*u_coop + (1-p)*u_both_defect,
-    which strictly exceeds u_both_defect whenever p > 0.
+    which strictly exceeds u_both_defect whenever p > 0. Normalized, this
+    is the translucent pair at the corner p = 1, q = 0, r = ``p``.
     """
     return argument1_eus(pay, p)._replace(eu_sm=pay.u_both_defect)
 

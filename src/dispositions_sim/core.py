@@ -19,11 +19,20 @@ checked on every construction path (the constructor, ``_make`` and
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 
 class InvalidInput(ValueError):
     """The caller passed a bad value; the base of every argument check."""
+
+
+def _index(value, name: str, error: type[InvalidInput] = InvalidInput) -> int:
+    """``value`` as an int; Python and numpy integers pass, anything else raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 class OrderingViolation(InvalidInput):

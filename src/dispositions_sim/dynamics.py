@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .analytic import EuComparison, _eu_cm, _eu_sm, translucent_eu_cm, translucent_eu_sm
-from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _Record
+from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _index, _Record
 
 CONVERGENCE_TOL = 1e-12
 
@@ -63,8 +63,9 @@ def evolve(
     generation, stopping early once |r' - r| < CONVERGENCE_TOL.
 
     Raises:
-        InvalidInput: if generations < 1.
+        InvalidInput: if generations < 1 or is not an integer.
     """
+    generations = _index(generations, "generations")
     if generations < 1:
         raise InvalidInput(f"generations must be >= 1, got {generations}")
 

@@ -19,10 +19,12 @@ example p = q = 0) exact.
 
 Worker count is taken from the DISPOSITIONS_SIM_THREADS environment
 variable when not passed explicitly; 0 or unset means automatic. The
-calling thread and W - 1 helper threads claim blocks from one shared
-counter. The helpers are plain threads, joined before ``estimate_eus``
-returns, so no thread pool is loaded. Each worker allocates, once, one row
-of ``BLOCK_TRIALS`` doubles (512 KiB) and two boolean masks of 64 KiB: a
+calling thread and W - 1 helper threads run one routine: it claims blocks
+from one shared counter and hands back their summed counts, or whatever
+stopped it. The calling thread's result comes first, so its failure wins.
+The helpers are plain threads, joined before ``estimate_eus`` returns, so
+no thread pool is loaded. Each worker allocates, once, one row of
+``BLOCK_TRIALS`` doubles (512 KiB) and two boolean masks of 64 KiB: a
 block draws into its view of that row, which its three streams fill in
 turn, and compares into its views of the masks, so a block allocates no
 array but its three counts; memory grows with the worker count, not the
@@ -31,7 +33,6 @@ trial count.
 
 from __future__ import annotations
 
-import operator
 import os
 from collections import namedtuple
 from math import sqrt
@@ -39,7 +40,7 @@ from threading import Lock, Thread
 
 import numpy as np
 
-from .core import InvalidInput, TranslucencyParams, _Record
+from .core import InvalidInput, TranslucencyParams, _index, _Record
 from .encounter import EncounterConfig, RngStream
 
 BLOCK_TRIALS = 65_536
@@ -117,14 +118,6 @@ def _run_block(
     return np.array([cm_coop, cm_exploited, sm_defect])
 
 
-def _index(value, name: str, error: type[InvalidInput] = InvalidInput) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else raises."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count from the argument or DISPOSITIONS_SIM_THREADS (0 = auto)."""
     if workers is None:
@@ -198,11 +191,12 @@ def estimate_eus(
         with claim_lock:
             unclaimed = iter(())
 
-    def drain() -> np.ndarray:
-        """Run unclaimed blocks until none are left; their summed counts."""
-        row, partner, hits = np.empty(BLOCK_TRIALS), *np.empty((2, BLOCK_TRIALS), bool)
-        counts = np.zeros(3, dtype=np.int64)
+    def drain() -> np.ndarray | BaseException:
+        """Run unclaimed blocks until none are left; their summed counts, or
+        whatever stopped this worker (so nothing reaches threading.excepthook)."""
         try:
+            row, partner, hits = np.empty(BLOCK_TRIALS), *np.empty((2, BLOCK_TRIALS), bool)
+            counts = np.zeros(3, dtype=np.int64)
             while True:
                 with claim_lock:
                     index = next(unclaimed, None)
@@ -211,41 +205,34 @@ def estimate_eus(
                 trials = n_trials - index * BLOCK_TRIALS
                 counts += _run_block(cfg.params, seed, index,
                                      row[:trials], partner[:trials], hits[:trials])
+        except BaseException as exc:
+            return exc
         finally:
             stop()  # a worker that fails or is interrupted stops the others
 
-    results = []  # each helper's counts, or whatever it raised
-
-    def helper() -> None:
-        try:
-            results.append(drain())
-        except BaseException as exc:  # so nothing reaches threading.excepthook
-            results.append(exc)
-
-    # The calling thread drains too; with one worker no thread starts. A
-    # helper that fails to start stops those already started.
+    # The calling thread drains too; its result goes first, so its failure wins.
+    results = []  # each worker's counts, or whatever stopped it
     helpers = []  # the started threads only, as only those can be joined
     try:
-        try:
-            for _ in range(n_workers - 1):
-                thread = Thread(target=helper)
-                thread.start()
-                helpers.append(thread)
-        except RuntimeError as exc:  # the OS refused a thread
-            source = (f" ({_THREADS_ENV_VAR}={os.environ[_THREADS_ENV_VAR]})"
-                      if workers is None and _THREADS_ENV_VAR in os.environ else "")
-            raise InvalidInput(
-                f"cannot start {n_workers} Monte Carlo workers{source}: {exc}"
-            ) from exc
-        counts = drain()
+        for _ in range(n_workers - 1):
+            thread = Thread(target=lambda: results.append(drain()))
+            thread.start()
+            helpers.append(thread)
+        results.insert(0, drain())
+    except RuntimeError as exc:  # the OS refused a thread
+        source = (f" ({_THREADS_ENV_VAR}={os.environ[_THREADS_ENV_VAR]})"
+                  if workers is None and _THREADS_ENV_VAR in os.environ else "")
+        raise InvalidInput(
+            f"cannot start {n_workers} Monte Carlo workers{source}: {exc}"
+        ) from exc
     finally:
         stop()
         for thread in helpers:
             thread.join()
-    for result in results:  # reached only if the calling thread raised nothing
+    for result in results:
         if isinstance(result, BaseException):
             raise result
-        counts += result
+    counts = sum(results)
 
     # Each trial has one outcome per focal disposition, so non-cooperation
     # takes whatever trials the other outcomes leave.

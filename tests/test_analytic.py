@@ -116,6 +116,36 @@ class TestArgument2:
         assert second.cm_is_rational, f"argument 2 must favor CM at p={p}"
 
 
+class TestTransparentCorners:
+    """The two transparent arguments are corners of the translucent model."""
+
+    @given(
+        levels=st.lists(st.integers(-100, 100), min_size=4, max_size=4, unique=True).map(sorted),
+        chance=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_arguments_are_translucent_corners(self, levels, chance):
+        """With s < u < u' < u'' and v = (level - s)/(u'' - s), argument 2 is the
+        translucent pair at (p=1, q=0, r=P); argument 1 shares its EU_cm, but
+        its EU_sm is the translucent one at (q=1, r=P)."""
+        s, u, u_coop, u_temptation = levels
+        scale = u_temptation - s
+        pay = TransparentPayoffs(float(u), float(u_coop), float(u_temptation))
+        normalized = TranslucentPayoffs((u - s) / scale, (u_coop - s) / scale)
+        corner = TranslucencyParams(p=1.0, q=0.0, r=chance)
+        unseen = TranslucencyParams(p=1.0, q=1.0, r=chance)
+
+        def close(value, translucent):
+            assert (value - s) / scale == pytest.approx(translucent, abs=1e-13)
+
+        second = argument2_eus(pay, chance)
+        close(second.eu_cm, translucent_eu_cm(normalized, corner))
+        close(second.eu_sm, translucent_eu_sm(normalized, corner))
+        first = argument1_eus(pay, chance)
+        close(first.eu_cm, translucent_eu_cm(normalized, corner))
+        close(first.eu_sm, translucent_eu_sm(normalized, unseen))
+
+
 class TestTranslucentEus:
     def test_cm_example_against_rational_oracle(self):
         """v_nc + r*p*(v_c - v_nc) - (1-r)*q*v_nc at the reference point."""

@@ -7,6 +7,7 @@ and no stdout.
 
 import contextlib
 import io
+import re
 import threading
 
 import numpy as np
@@ -68,6 +69,16 @@ class TestLibraryChecks:
         t0 = TranslucencyParams(p=0.8, q=0.1, r=0.5)
         with pytest.raises(InvalidInput, match=r"^generations must be >= 1, got 0$"):
             evolve(pay, t0, 0)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", None],
+                             ids=["float", "integral-float", "str", "none"])
+    def test_evolve_generations_must_be_an_integer(self, value):
+        pay = TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75)
+        t0 = TranslucencyParams(p=0.8, q=0.1, r=0.5)
+        message = rf"^generations must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidInput, match=message):
+            evolve(pay, t0, value)
+        assert evolve(pay, t0, np.int64(3)) == evolve(pay, t0, 3)
 
     def test_rng_stream_guard(self):
         with pytest.raises(InvalidInput, match="must be non-negative"):

@@ -344,6 +344,63 @@ class TestDriver:
         assert threading.enumerate() == before
         assert hooked == []
 
+    def test_a_helper_whose_setup_fails_reaches_the_caller(self, monkeypatch):
+        """A helper that cannot allocate its row and masks hands its error
+        back like any other failure: raised by ``estimate_eus``, never passed
+        to ``threading.excepthook``, and no thread outlives the call."""
+        caller = threading.get_ident()
+
+        class HelperCannotAllocate:
+            """numpy, except that ``empty`` fails off the calling thread."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                if threading.get_ident() != caller:
+                    raise MemoryError("helper buffers")
+                return np.empty(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "np", HelperCannotAllocate())
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = threading.enumerate()
+        with pytest.raises(MemoryError, match="^helper buffers$"):
+            estimate_eus(make_config(), 1000 * 64, seed=2, workers=2)
+        assert threading.enumerate() == before
+        assert hooked == []
+
+    def test_the_calling_threads_failure_wins(self, monkeypatch):
+        """When the calling thread and a helper both fail, the caller's own
+        exception is raised, although the helper failed first. Each helper
+        waits until the caller is inside a block, so the caller has claimed
+        one before any helper fails."""
+
+        class HelperFault(Exception):
+            pass
+
+        class CallerFault(Exception):
+            pass
+
+        caller = threading.get_ident()
+        caller_in_block, helper_failed = threading.Event(), threading.Event()
+
+        def both_fail(seed, block_index):
+            if threading.get_ident() == caller:
+                caller_in_block.set()
+                helper_failed.wait(60)
+                raise CallerFault
+            caller_in_block.wait(60)
+            helper_failed.set()
+            raise HelperFault
+
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "block_streams", both_fail)
+        with pytest.raises(CallerFault):
+            estimate_eus(make_config(), 1000 * 64, seed=2, workers=3)
+        assert helper_failed.is_set()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_the_block_count(self, monkeypatch, workers):
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
