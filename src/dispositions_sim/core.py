@@ -28,8 +28,10 @@ class InvalidInput(ValueError):
 
 
 def _index(value, name: str, error: type[InvalidInput] = InvalidInput) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else raises."""
+    """``value`` as an int; Python and numpy integers pass, anything else (a bool too) raises."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None

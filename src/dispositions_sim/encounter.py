@@ -11,7 +11,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import InvalidInput, _Record
+from .core import InvalidInput, _index, _Record
 
 
 class EncounterConfig(_Record, namedtuple("EncounterConfig", "payoffs params")):
@@ -32,6 +32,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
+        seed, stream_id = _index(seed, "seed"), _index(stream_id, "stream_id")
         if seed < 0 or stream_id < 0:
             raise InvalidInput(
                 f"seed and stream_id must be non-negative, got {seed}, {stream_id}"

@@ -36,14 +36,6 @@ _MAX_ROWS = 2**63 - 1
 _FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
 
 
-def _texts(values: list[float]) -> list[str]:
-    """Each of VALUES (computed, so never -0.0) as ``_fmt`` text; a column of one
-    repeated value is formatted once."""
-    if values[-1] == values[0] and values.count(values[0]) == len(values):
-        return [_fmt(values[0])] * len(values)
-    return list(map(_fmt, values))
-
-
 def _fill_linspace(values: array, start: float, stop: float) -> array:
     """Fill VALUES with len(VALUES) evenly spaced doubles from START to STOP,
     bit for bit the values of ``numpy.linspace``, except that a NaN point's
@@ -172,15 +164,17 @@ def run(settings: Settings) -> None:
     # Each parameter's values along the span: the inner axis's span, else its point repeated.
     args = {name: repeat(grid[name][0]) for name in PARAM_NAMES}
     kept: dict = {}
-    run_start = None
 
     def column(formula, *names):
         """FORMULA's values over the span and their text, kept while the point indices
-        of the parameters it reads are unchanged (a float key would merge 0.0 and -0.0)."""
+        of the parameters it reads are unchanged (a float key would merge 0.0 and -0.0).
+        A formula that does not read the inner axis is evaluated and formatted once,
+        and its value and text are repeated along the span."""
         key = tuple(map(at.get, names))
         if kept.get(formula, (None,))[0] != key:
-            values = list(islice(map(formula, *map(args.get, names)), span))
-            kept[formula] = key, values, _texts(values)
+            times = 1 if inner_name in names else span
+            values = list(islice(map(formula, *map(args.get, names)), span // times))
+            kept[formula] = key, values * times, list(map(_fmt, values)) * times
         return kept[formula][1:]
 
     write = sys.stdout.write
@@ -193,13 +187,13 @@ def run(settings: Settings) -> None:
         head, tail = ",".join(fields[:slot] + [""]), ",".join([""] + fields[slot + 1 :])
         for start in range(0, len(inner), span):
             at[inner_name] = start
-            args[inner_name] = run = inner[start : start + span]
-            if start != run_start:  # the inner axis's text, reformatted when the span moves
-                run_start, run_text = start, list(map(_fmt, run))
+            args[inner_name] = inner[start : start + span]
+            run_text = column(float, inner_name)[1]
             cm = list(map(_eu_cm, *map(args.get, ("v_noncoop", "v_coop", "p", "q", "r"))))
             sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
             margin = list(map(sub, cm, sm))
             ratio_text = column(_critical_ratio, "v_noncoop", "v_coop", "r")[1]
-            texts = zip(run_text, _texts(cm), sm_text, _texts(margin), ratio_text, margin)
+            texts = zip(run_text, list(map(_fmt, cm)), sm_text, list(map(_fmt, margin)),
+                        ratio_text, margin)
             write("".join([f"{head}{x}{tail},{c},{s},{m},{t},{'true' if d > 0.0 else 'false'}\n"
                            for x, c, s, m, t, d in texts]))

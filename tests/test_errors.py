@@ -70,8 +70,8 @@ class TestLibraryChecks:
         with pytest.raises(InvalidInput, match=r"^generations must be >= 1, got 0$"):
             evolve(pay, t0, 0)
 
-    @pytest.mark.parametrize("value", [2.5, 2.0, "3", None],
-                             ids=["float", "integral-float", "str", "none"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", None, True, False],
+                             ids=["float", "integral-float", "str", "none", "true", "false"])
     def test_evolve_generations_must_be_an_integer(self, value):
         pay = TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75)
         t0 = TranslucencyParams(p=0.8, q=0.1, r=0.5)
@@ -83,6 +83,19 @@ class TestLibraryChecks:
     def test_rng_stream_guard(self):
         with pytest.raises(InvalidInput, match="must be non-negative"):
             RngStream(-1)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((1.5,), "seed must be an integer, got 1.5"),
+         (("3",), "seed must be an integer, got '3'"),
+         ((None,), "seed must be an integer, got None"),
+         ((True,), "seed must be an integer, got True"),
+         ((0, 1.5), "stream_id must be an integer, got 1.5")],
+        ids=["float", "str", "none", "bool", "stream-id-float"],
+    )
+    def test_rng_stream_rejects_a_non_integer(self, args, message):
+        with pytest.raises(InvalidInput, match=rf"^{re.escape(message)}$"):
+            RngStream(*args)
 
     @pytest.mark.parametrize(
         "out",
@@ -120,9 +133,11 @@ class TestLibraryChecks:
         "argument, value, error",
         [("n_trials", 1.5, InvalidTrialCount), ("seed", 1.5, InvalidInput),
          ("workers", 1.5, InvalidInput), ("workers", 2.0, InvalidInput),
-         ("workers", float("nan"), InvalidInput), ("workers", "2", InvalidInput)],
+         ("workers", float("nan"), InvalidInput), ("workers", "2", InvalidInput),
+         ("n_trials", True, InvalidTrialCount), ("seed", False, InvalidInput),
+         ("workers", True, InvalidInput)],
         ids=["n_trials-float", "seed-float", "workers-float", "workers-integral-float",
-             "workers-nan", "workers-str"],
+             "workers-nan", "workers-str", "n_trials-bool", "seed-bool", "workers-bool"],
     )
     def test_malformed_integer_argument_rejected_before_any_block(
         self, monkeypatch, argument, value, error

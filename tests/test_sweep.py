@@ -192,6 +192,9 @@ def grids(draw):
 # One-point spans of 0.0 and -0.0, which print differently.
 @example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
           [("r", 0.0, 1.0, 3), ("p", 0.0, -0.0, 2)]), 1)
+# Spans of 2, 2 and 1 rows: a column that does not read p is longer than the last span.
+@example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
+          [("r", 0.0, 1.0, 3), ("p", 0.0, 1.0, 5)]), 2)
 @settings(max_examples=300, deadline=None)
 @given(grids(), st.sampled_from([1, 2, 5, 7, sweep.SWEEP_CHUNK_ROWS]))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -209,6 +212,31 @@ def test_sweep_matches_point_by_point_reference(grid, chunk_rows):
         assert (code, out, err) == (2, "", expected)
     else:
         assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "fixed, axes, calls",
+    [
+        # Neither column reads the inner axis p: one call each per r value, not per row.
+        ({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
+         [("r", 0.0, 1.0, 3), ("p", 0.0, 1.0, 5)], 3),
+        # Both read the inner axis r, and neither reads p: one span each per v_noncoop value.
+        ({"q": 0.1, "v_coop": 0.75},
+         [("v_noncoop", 0.2, 0.4, 2), ("p", 0.0, 1.0, 3), ("r", 0.0, 1.0, 4)], 8),
+    ],
+    ids=["inner-p", "inner-r"],
+)
+def test_a_column_is_evaluated_once_while_what_it_reads_is_unchanged(
+    monkeypatch, fixed, axes, calls
+):
+    counts = dict.fromkeys(("_eu_sm", "_critical_ratio"), 0)
+    for name in counts:
+        def counted(*args, name=name, formula=getattr(sweep, name)):
+            counts[name] += 1
+            return formula(*args)
+        monkeypatch.setattr(sweep, name, counted)
+    assert run_sweep(sweep_argv(fixed, axes)) == (0, reference_sweep(fixed, axes), "")
+    assert counts == dict.fromkeys(counts, calls)
 
 
 # The first bad row is the last of 160 000: only v_noncoop=0.5 meets v_coop=0.5.
