@@ -164,6 +164,7 @@ def run(settings: Settings) -> None:
     # Each parameter's values along the span: the inner axis's span, else its point repeated.
     args = {name: repeat(grid[name][0]) for name in PARAM_NAMES}
     kept: dict = {}
+    moves = any(x.hex() != inner[0].hex() for x in inner)  # bit for bit: -0.0 is not 0.0
 
     def column(formula, *names):
         """FORMULA's values over the span and their text, kept while the point indices
@@ -187,7 +188,8 @@ def run(settings: Settings) -> None:
         head, tail = ",".join(fields[:slot] + [""]), ",".join([""] + fields[slot + 1 :])
         for start in range(0, len(inner), span):
             at[inner_name] = start
-            args[inner_name] = inner[start : start + span]
+            run = inner[start : start + span]
+            args[inner_name] = run if moves else run[:1]  # else the span is its first row repeated
             run_text = column(float, inner_name)[1]
             cm = list(map(_eu_cm, *map(args.get, ("v_noncoop", "v_coop", "p", "q", "r"))))
             sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
@@ -196,4 +198,4 @@ def run(settings: Settings) -> None:
             texts = zip(run_text, list(map(_fmt, cm)), sm_text, list(map(_fmt, margin)),
                         ratio_text, margin)
             write("".join([f"{head}{x}{tail},{c},{s},{m},{t},{'true' if d > 0.0 else 'false'}\n"
-                           for x, c, s, m, t, d in texts]))
+                           for x, c, s, m, t, d in texts]) * (1 if moves else len(run)))

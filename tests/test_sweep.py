@@ -195,6 +195,9 @@ def grids(draw):
 # Spans of 2, 2 and 1 rows: a column that does not read p is longer than the last span.
 @example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
           [("r", 0.0, 1.0, 3), ("p", 0.0, 1.0, 5)]), 2)
+# An inner axis that does not move, in spans of 2, 2 and 1 rows: every column is one value.
+@example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
+          [("r", 0.0, 1.0, 2), ("p", 0.5, 0.5, 5)]), 2)
 @settings(max_examples=300, deadline=None)
 @given(grids(), st.sampled_from([1, 2, 5, 7, sweep.SWEEP_CHUNK_ROWS]))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -223,8 +226,11 @@ def test_sweep_matches_point_by_point_reference(grid, chunk_rows):
         # Both read the inner axis r, and neither reads p: one span each per v_noncoop value.
         ({"q": 0.1, "v_coop": 0.75},
          [("v_noncoop", 0.2, 0.4, 2), ("p", 0.0, 1.0, 3), ("r", 0.0, 1.0, 4)], 8),
+        # The inner axis r does not move and neither column reads p: one call each in all.
+        ({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
+         [("p", 0.0, 1.0, 3), ("r", 0.0, 0.0, 4)], 1),
     ],
-    ids=["inner-p", "inner-r"],
+    ids=["inner-p", "inner-r", "constant-inner-r"],
 )
 def test_a_column_is_evaluated_once_while_what_it_reads_is_unchanged(
     monkeypatch, fixed, axes, calls
