@@ -61,7 +61,7 @@ FLAGS: dict[str, dict[str, Any]] = {
 }
 
 _EXPECTED = {float: "a number", int: "an integer", list: "a list of strings"}
-_EVOLVE_SLICE_ROWS = 4096  # evolve formats and writes its rows this many at a time
+ROWS_PER_WRITE = 4096  # the most rows one write holds: a sweep span, an evolve slice
 
 
 class Parser(argparse.ArgumentParser):
@@ -178,9 +178,9 @@ def cmd_evolve(settings: Settings) -> None:
     t0 = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r0"])
     steps = evolve(pay, t0, settings["generations"]).steps
     sys.stdout.write("generation,r,eu_cm,eu_sm\n")
-    for start in range(0, len(steps), _EVOLVE_SLICE_ROWS):
+    for start in range(0, len(steps), ROWS_PER_WRITE):
         sys.stdout.write("".join([f"{s.generation},{_fmt(s.r)},{_fmt(s.eu_cm)},{_fmt(s.eu_sm)}\n"
-                                  for s in steps[start : start + _EVOLVE_SLICE_ROWS]]))
+                                  for s in steps[start : start + ROWS_PER_WRITE]]))
     threshold = interior_threshold(pay, t0.p, t0.q)
     if threshold is not None:
         print("# " + json.dumps({"interior_threshold": threshold}))

@@ -109,10 +109,8 @@ def _run_block(
     u_cm_focal = cm_rng.uniforms(row)
     np.less(u_cm_focal, p, out=hits)
     cm_coop = np.count_nonzero(np.logical_and(partner, hits, out=hits))
-    # Exploited: u < q with a straightforward partner, all u < q but the constrained.
-    np.less(u_cm_focal, q, out=hits)
-    cm_exploited = np.count_nonzero(hits)
-    cm_exploited -= np.count_nonzero(np.logical_and(partner, hits, out=hits))
+    # Exploited: u < q with a straightforward partner (bools compare as True > False).
+    cm_exploited = np.count_nonzero(np.greater(np.less(u_cm_focal, q, out=hits), partner, out=hits))
     np.less(sm_rng.uniforms(row), q, out=hits)
     sm_defect = np.count_nonzero(np.logical_and(partner, hits, out=hits))
     return np.array([cm_coop, cm_exploited, sm_defect])

@@ -16,17 +16,13 @@ import math
 import sys
 from array import array
 from itertools import chain, islice, repeat
-from operator import sub
 from typing import Sequence
 
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
-from .cli import Settings, _fmt
+from .cli import ROWS_PER_WRITE, Settings, _fmt
 from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _in_unit_interval
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
-
-# The most rows a span holds.
-SWEEP_CHUNK_ROWS = 4096
 
 SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
 
@@ -158,7 +154,7 @@ def run(settings: Settings) -> None:
     walked = [name for name, values in grid.items() if len(values) > 1]
     *outer, inner_name = walked or list(grid)[-1:]
     inner, slot = grid[inner_name], PARAM_NAMES.index(inner_name)
-    span = min(len(inner), SWEEP_CHUNK_ROWS)
+    span = min(len(inner), ROWS_PER_WRITE)
     at = dict.fromkeys(PARAM_NAMES, 0)
     fields = [_fmt(grid[name][0]) for name in PARAM_NAMES]
     # Each parameter's values along the span: the inner axis's span, else its point repeated.
@@ -190,12 +186,10 @@ def run(settings: Settings) -> None:
             at[inner_name] = start
             run = inner[start : start + span]
             args[inner_name] = run if moves else run[:1]  # else the span is its first row repeated
-            run_text = column(float, inner_name)[1]
-            cm = list(map(_eu_cm, *map(args.get, ("v_noncoop", "v_coop", "p", "q", "r"))))
+            cm = map(_eu_cm, *map(args.get, ("v_noncoop", "v_coop", "p", "q", "r")))
             sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
-            margin = list(map(sub, cm, sm))
-            ratio_text = column(_critical_ratio, "v_noncoop", "v_coop", "r")[1]
-            texts = zip(run_text, list(map(_fmt, cm)), sm_text, list(map(_fmt, margin)),
-                        ratio_text, margin)
-            write("".join([f"{head}{x}{tail},{c},{s},{m},{t},{'true' if d > 0.0 else 'false'}\n"
-                           for x, c, s, m, t, d in texts]) * (1 if moves else len(run)))
+            rows = zip(column(float, inner_name)[1], cm, sm, sm_text,
+                       column(_critical_ratio, "v_noncoop", "v_coop", "r")[1])
+            write("".join([f"{head}{x}{tail},{_fmt(c)},{s},{_fmt(c - e)},{t},"
+                           f"{'true' if c - e > 0.0 else 'false'}\n" for x, c, e, s, t in rows])
+                  * (1 if moves else len(run)))

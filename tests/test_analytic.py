@@ -29,15 +29,9 @@ from dispositions_sim.core import (
     TranslucentPayoffs,
     TransparentPayoffs,
 )
+from exact import lottery_eu
 
 ANALYTIC_TOL = 1e-12
-
-
-def lottery_eu(branches):
-    """Exact expected utility of a finite lottery given (prob, payoff) pairs."""
-    total = sum(Fraction(prob) * Fraction(payoff) for prob, payoff in branches)
-    assert sum(Fraction(prob) for prob, _ in branches) == 1
-    return float(total)
 
 
 @st.composite

@@ -665,3 +665,38 @@ def test_cli_writes_stdout_only_through_write_and_flush(name):
         full_code = main(argv)
     assert (narrow_code, full_code) == (0, 0)
     assert "".join(narrow.parts) == full.getvalue()
+
+
+# An evolve run that converges at generation 116 of 200, with a threshold comment
+# after its rows, and one that stops at --generations, with none.
+EVOLVE_SLICED_RUNS = {
+    "converges_early": ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"],
+    "stops_at_generations": [*EVOLVE_NEVER_CONVERGES, "--generations", "20"],
+}
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 2, 7, cli.ROWS_PER_WRITE])
+@pytest.mark.parametrize("name", sorted(EVOLVE_SLICED_RUNS))
+def test_evolve_writes_one_slice_of_rows_per_write_call(name, rows_per_write, monkeypatch):
+    """The header, then one ``write`` per slice of at most ROWS_PER_WRITE rows, the last
+    slice holding the rest, then the comment; the bytes are those of the default slices."""
+    argv = EVOLVE_SLICED_RUNS[name]
+    default = WriteAndFlushOnly()
+    with contextlib.redirect_stdout(default):
+        assert main(argv) == 0
+    monkeypatch.setattr(cli, "ROWS_PER_WRITE", rows_per_write)
+    sliced = WriteAndFlushOnly()
+    with contextlib.redirect_stdout(sliced):
+        assert main(argv) == 0
+    out = "".join(sliced.parts)
+    assert out == "".join(default.parts)
+
+    rows = sum(not line.startswith("#") for line in out.splitlines()) - 1
+    full, rest = divmod(rows, rows_per_write)
+    slices = full + (rest > 0)
+    assert sliced.parts[0] == "generation,r,eu_cm,eu_sm\n"
+    assert [part.count("\n") for part in sliced.parts[1 : 1 + slices]] == (
+        [rows_per_write] * full + [rest] * (rest > 0)
+    )
+    comment = out[out.index("#") :] if "#" in out else ""
+    assert "".join(sliced.parts[1 + slices :]) == comment

@@ -183,9 +183,9 @@ def grids(draw):
 # The smallest one makes the denominator underflow to 0, where the ratio
 # must be inf as well.
 @example(({"q": 0.0, "r": 2.2250738585e-313, "v_noncoop": 0.25, "v_coop": 0.75},
-          [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
+          [("p", 0.0, 0.0, 1)]), sweep.ROWS_PER_WRITE)
 @example(({"q": 0.0, "r": 5e-324, "v_noncoop": 0.25, "v_coop": 0.75},
-          [("p", 0.0, 0.0, 1)]), sweep.SWEEP_CHUNK_ROWS)
+          [("p", 0.0, 0.0, 1)]), sweep.ROWS_PER_WRITE)
 # A long outer axis over a two-point inner one: two-row spans, each written on its own.
 @example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
           [("r", 0.0, 1.0, 6), ("p", 0.0, 1.0, 2)]), 7)
@@ -199,18 +199,18 @@ def grids(draw):
 @example(({"q": 0.1, "v_noncoop": 0.5, "v_coop": 0.75},
           [("r", 0.0, 1.0, 2), ("p", 0.5, 0.5, 5)]), 2)
 @settings(max_examples=300, deadline=None)
-@given(grids(), st.sampled_from([1, 2, 5, 7, sweep.SWEEP_CHUNK_ROWS]))
+@given(grids(), st.sampled_from([1, 2, 5, 7, sweep.ROWS_PER_WRITE]))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_matches_point_by_point_reference(grid, chunk_rows):
     """Also with spans of at most a few rows, so that an inner axis is cut into several."""
     fixed, axes = grid
     expected = reference_sweep(fixed, axes)
     # Set by hand: hypothesis rejects the function-scoped monkeypatch fixture.
-    default_rows, sweep.SWEEP_CHUNK_ROWS = sweep.SWEEP_CHUNK_ROWS, chunk_rows
+    default_rows, sweep.ROWS_PER_WRITE = sweep.ROWS_PER_WRITE, chunk_rows
     try:
         code, out, err = run_sweep(sweep_argv(fixed, axes))
     finally:
-        sweep.SWEEP_CHUNK_ROWS = default_rows
+        sweep.ROWS_PER_WRITE = default_rows
     if expected.startswith("error: "):
         assert (code, out, err) == (2, "", expected)
     else:
