@@ -10,8 +10,8 @@ All numeric CSV fields are serialized with 17 significant digits so a
 double round-trips exactly; booleans serialize as ``true``/``false`` and
 an infinite critical ratio as the literal ``inf``. Output is a
 deterministic function of flags and seed. The DISPOSITIONS_SIM_THREADS
-environment variable caps Monte Carlo worker threads (0 = auto) without
-affecting output bytes.
+environment variable caps Monte Carlo worker threads and sweep processes
+(0 = auto) without affecting output bytes.
 
 Only ``simulate`` computes on arrays, so only it imports numpy, and only
 when it runs: the other commands (``sweep`` lives in its own module),
@@ -83,11 +83,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _json_number(value: float) -> Any:
-    # json.dumps would emit the non-standard token Infinity; use a string.
-    return value if math.isfinite(value) else _fmt(value)
-
-
 def _config_value(flag: str, value: Any) -> Any:
     """A config file's value for ``flag``, as the flag's type.
 
@@ -134,20 +129,19 @@ def cmd_analytic(settings: Settings) -> None:
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])
     comparison = cm_rational(pay, t)
-    record = {
+    ratio = critical_ratio(pay, t.r)  # json.dumps would emit the non-standard Infinity
+    print(json.dumps({
         "eu_cm": comparison.eu_cm,
         "eu_sm": comparison.eu_sm,
         "margin": comparison.margin,
-        "critical_ratio": _json_number(critical_ratio(pay, t.r)),
+        "critical_ratio": ratio if math.isfinite(ratio) else _fmt(ratio),
         "cm_rational": comparison.cm_is_rational,
-    }
-    print(json.dumps(record))
+    }))
 
 
 def cmd_simulate(settings: Settings) -> None:
     # First, so an uncached montecarlo.py compiles before numpy loads: lower peak RSS.
-    from .montecarlo import estimate_eus
-    from .encounter import EncounterConfig
+    from .montecarlo import EncounterConfig, estimate_eus
 
     pay = TranslucentPayoffs(v_noncoop=settings["vnc"], v_coop=settings["vc"])
     t = TranslucencyParams(p=settings["p"], q=settings["q"], r=settings["r"])
@@ -155,7 +149,7 @@ def cmd_simulate(settings: Settings) -> None:
     report = estimate_eus(EncounterConfig(payoffs=pay, params=t), settings["n"], seed)
     eu_cm = translucent_eu_cm(pay, t)
     eu_sm = translucent_eu_sm(pay, t)
-    record = {
+    print(json.dumps({
         "n_trials": report.n_trials,
         "seed": seed,
         **report._asdict(),  # n_trials, repeated, keeps its first position
@@ -163,8 +157,7 @@ def cmd_simulate(settings: Settings) -> None:
         "analytic_eu_sm": eu_sm,
         "deviation_cm": abs(report.mean_payoff_cm - eu_cm),
         "deviation_sm": abs(report.mean_payoff_sm - eu_sm),
-    }
-    print(json.dumps(record))
+    }))
 
 
 def cmd_sweep(settings: Settings) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from collections import namedtuple
 
 
@@ -35,6 +36,23 @@ def _index(value, name: str, error: type[InvalidInput] = InvalidInput) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+_THREADS_ENV_VAR = "DISPOSITIONS_SIM_THREADS"
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """Worker count from the argument or DISPOSITIONS_SIM_THREADS (0 = auto)."""
+    if workers is None:
+        raw = os.environ.get(_THREADS_ENV_VAR, "0")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InvalidInput(f"{_THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+    workers = _index(workers, "workers")
+    if workers < 0:
+        raise InvalidInput(f"worker count must be >= 0, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 class OrderingViolation(InvalidInput):

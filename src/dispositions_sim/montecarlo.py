@@ -40,22 +40,19 @@ from threading import Lock, Thread
 
 import numpy as np
 
-from .core import InvalidInput, TranslucencyParams, _index, _Record
+from .core import (_THREADS_ENV_VAR, InvalidInput, TranslucencyParams, _index, _Record,
+                   resolve_workers)
 from .encounter import EncounterConfig, RngStream
 
 BLOCK_TRIALS = 65_536
-
-_THREADS_ENV_VAR = "DISPOSITIONS_SIM_THREADS"
 
 
 class InvalidTrialCount(InvalidInput):
     """The requested number of trials is not a positive integer."""
 
 
-_REPORT_FIELDS = "n_trials mean_payoff_cm mean_payoff_sm stderr_cm stderr_sm outcome_histogram"
-
-
-class TrialReport(_Record, namedtuple("TrialReport", _REPORT_FIELDS)):
+class TrialReport(_Record, namedtuple("TrialReport", "n_trials mean_payoff_cm mean_payoff_sm "
+                                                     "stderr_cm stderr_sm outcome_histogram")):
     """Aggregated estimates from one Monte Carlo run.
 
     ``outcome_histogram`` counts the focal agent's outcomes over all
@@ -114,22 +111,6 @@ def _run_block(
     np.less(sm_rng.uniforms(row), q, out=hits)
     sm_defect = np.count_nonzero(np.logical_and(partner, hits, out=hits))
     return np.array([cm_coop, cm_exploited, sm_defect])
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count from the argument or DISPOSITIONS_SIM_THREADS (0 = auto)."""
-    if workers is None:
-        raw = os.environ.get(_THREADS_ENV_VAR, "0")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InvalidInput(
-                f"{_THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    workers = _index(workers, "workers")
-    if workers < 0:
-        raise InvalidInput(f"worker count must be >= 0, got {workers}")
-    return workers or os.cpu_count() or 1
 
 
 def _mean_and_stderr(counts: dict[float, int], n: int) -> tuple[float, float]:

@@ -3,16 +3,20 @@
 Each grid point costs a few float operations, so the grid is evaluated with
 the scalar closed forms of ``analytic``, mapped over one span of the innermost
 swept axis at a time, and imports no numpy. Storage is one ``array('d')`` per
-swept axis plus the rows of one span; no axis is held as Python objects, so
-memory grows with the axis lengths, not with the number of rows.
+swept axis plus the rows of one span per worker; no axis is held as Python
+objects, so memory grows with the axis lengths, not with the number of rows.
 
-``run`` validates the whole grid before it writes the first byte (a rejected
-grid walks no rows), then writes each span's rows as soon as they are built.
+``run`` validates the whole grid before it forks a worker or writes a byte (a
+rejected grid walks no rows). Span k goes to worker k mod W: worker 0 is this
+process, which writes every span in row order; the others are forked children
+that send their spans down pipes, each at most a pipe's buffer ahead of it.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import sys
 from array import array
 from itertools import chain, islice, repeat
@@ -20,7 +24,8 @@ from typing import Sequence
 
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
 from .cli import ROWS_PER_WRITE, Settings, _fmt
-from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _in_unit_interval
+from .core import (InvalidInput, TranslucencyParams, TranslucentPayoffs, _in_unit_interval,
+                   resolve_workers)
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
@@ -146,11 +151,10 @@ def run(settings: Settings) -> None:
     if not _grid_is_valid(grid):
         _raise_first_invalid_point(grid)
 
-    # Rows are evaluated one span of the innermost walked axis (of more than one
-    # point, else the last axis) at a time, and each span is written in one call
-    # as soon as it is built. The combinations of the outer walked axes are
-    # numbered in row order, each number unravelled into point indices, so no
-    # axis is held as Python objects.
+    # Rows are built one span of the innermost walked axis (of more than one point,
+    # else the last axis) at a time. Spans are numbered in row order, each number
+    # unravelled into point indices, so no axis is held as Python objects. Span k is
+    # built by worker k % W; worker 0, this process, writes every span.
     walked = [name for name, values in grid.items() if len(values) > 1]
     *outer, inner_name = walked or list(grid)[-1:]
     inner, slot = grid[inner_name], PARAM_NAMES.index(inner_name)
@@ -174,22 +178,47 @@ def run(settings: Settings) -> None:
             kept[formula] = key, values * times, list(map(_fmt, values)) * times
         return kept[formula][1:]
 
-    write = sys.stdout.write
-    write(SWEEP_HEADER + "\n")
-    for number in range(math.prod(len(grid[name]) for name in outer)):
+    def text(k: int) -> str:
+        number, start = divmod(k, per_point)
         for name in reversed(outer):
             number, i = divmod(number, len(grid[name]))
             at[name], args[name] = i, repeat(grid[name][i])
             fields[PARAM_NAMES.index(name)] = _fmt(grid[name][i])
         head, tail = ",".join(fields[:slot] + [""]), ",".join([""] + fields[slot + 1 :])
-        for start in range(0, len(inner), span):
-            at[inner_name] = start
-            run = inner[start : start + span]
-            args[inner_name] = run if moves else run[:1]  # else the span is its first row repeated
-            cm = map(_eu_cm, *map(args.get, ("v_noncoop", "v_coop", "p", "q", "r")))
-            sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
-            rows = zip(column(float, inner_name)[1], cm, sm, sm_text,
-                       column(_critical_ratio, "v_noncoop", "v_coop", "r")[1])
-            write("".join([f"{head}{x}{tail},{_fmt(c)},{s},{_fmt(c - e)},{t},"
-                           f"{'true' if c - e > 0.0 else 'false'}\n" for x, c, e, s, t in rows])
-                  * (1 if moves else len(run)))
+        at[inner_name] = start = start * span
+        run = inner[start : start + span]
+        args[inner_name] = run if moves else run[:1]  # else the span is its first row repeated
+        cm = map(_eu_cm, *map(args.get, ("v_noncoop", "v_coop", "p", "q", "r")))
+        sm, sm_text = column(_eu_sm, "v_noncoop", "q", "r")
+        rows = zip(column(float, inner_name)[1], cm, sm, sm_text,
+                   column(_critical_ratio, "v_noncoop", "v_coop", "r")[1])
+        return ("".join([f"{head}{x}{tail},{_fmt(c)},{s},{_fmt(c - e)},{t},"
+                         f"{'true' if c - e > 0.0 else 'false'}\n" for x, c, e, s, t in rows])
+                * (1 if moves else len(run)))
+
+    per_point = -(-len(inner) // span)
+    spans = math.prod(len(grid[name]) for name in outer) * per_point
+    workers = max(1, min(resolve_workers(), os.cpu_count() or 1,
+                         math.prod(map(len, grid.values())) // ROWS_PER_WRITE))
+    readers, children = [], []
+    try:
+        for w in range(1, workers):
+            reader, out = map(open, os.pipe(), ("rb", "wb"))
+            readers.append(reader)
+            with out:
+                if not (pid := os.fork()):
+                    try:  # never returns: a failure shows as a short pipe in marshal.load
+                        reader.close()
+                        out.writelines(marshal.dumps(text(k)) for k in range(w, spans, workers))
+                        out.flush()
+                    finally:
+                        os._exit(0)
+            children.append(pid)
+        sys.stdout.write(SWEEP_HEADER + "\n")
+        for k in range(spans):
+            sys.stdout.write(marshal.load(readers[k % workers - 1]) if k % workers else text(k))
+    finally:  # a child blocked on its pipe sees it close, so every wait ends
+        for reader in readers:
+            reader.close()
+        for pid in children:
+            os.waitpid(pid, 0)

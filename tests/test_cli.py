@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -54,8 +56,6 @@ def run_cli(argv, capsys):
 
 def run_cli_process(argv, env_threads=None):
     """Run the CLI in a subprocess; its ``CompletedProcess``, output as bytes."""
-    import os
-
     env = dict(os.environ)
     if env_threads is not None:
         env["DISPOSITIONS_SIM_THREADS"] = env_threads
@@ -624,6 +624,106 @@ def test_stdout_matches_pinned_md5(name, capsys, monkeypatch):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+# Runs the CLI on the remaining arguments, as ``python -m dispositions_sim`` does, on
+# a host that reports eight CPUs, so that DISPOSITIONS_SIM_THREADS alone sets how many
+# sweep workers run. {patch} stands for code run before the CLI.
+FORKING_CLI = (
+    "import os, sys\n"
+    "os.cpu_count = lambda: 8\n"
+    "{patch}\n"
+    "from dispositions_sim.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+# A sweep whose inner axis holds more than one span: each p value gets two spans of
+# 4096 rows and a partial one of 1808, 30 000 rows in 9 spans.
+SWEEP_PARTIAL_SPANS = (["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
+                        "--axis", "p=0:1:3", "--axis", "r=0:1:10000"],
+                       "7bfe6fc21aaedf553ecac4e2f99b0392")
+
+
+def run_forking_cli(argv, threads, patch=""):
+    """Start FORKING_CLI on ``argv`` under DISPOSITIONS_SIM_THREADS=``threads``, as the
+    leader of a new session, so that its process group holds every worker it forks."""
+    env = dict(os.environ, DISPOSITIONS_SIM_THREADS=threads)
+    return subprocess.Popen([sys.executable, "-c", FORKING_CLI.format(patch=patch), *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
+
+
+def finish(proc):
+    """``proc``'s (stdout, stderr), read until every holder of its pipes, each worker
+    too, has exited; then no process of its group is left. A run still going after
+    60 s is killed with its workers, and fails the test."""
+    try:
+        out, err = proc.communicate(timeout=60)
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return out, err
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [MD5_PINS["sweep_grid"][::2], MD5_PINS["sweep_two_row_spans"][::2],
+         SWEEP_PARTIAL_SPANS],
+        ids=["sweep_grid", "sweep_two_row_spans", "partial_spans"],
+    )
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_stdout_is_byte_identical_for_every_worker_count(self, argv, digest, threads):
+        proc = run_forking_cli(argv, threads)
+        out, err = finish(proc)
+        assert (proc.returncode, err) == (0, b"")
+        assert hashlib.md5(out).hexdigest() == digest
+
+    def test_reader_closing_early_exits_0_and_leaves_no_process(self):
+        """Each worker blocked on its pipe sees the pipe close and exits; the CLI
+        process waits for every one of them before it exits itself."""
+        proc = run_forking_cli(["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:100000"], "3")
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = finish(proc)
+        assert header == (SWEEP_HEADER + "\n").encode()
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_failing_worker_fails_the_run_with_one_line(self):
+        """A forked worker whose formula raises ends the run with exit 1 and one
+        stderr line, after no more than the spans before its first one."""
+        patch = ("from dispositions_sim import sweep\n"
+                 "parent, eu_cm = os.getpid(), sweep._eu_cm\n"
+                 "def failing(*args):\n"
+                 "    if os.getpid() != parent:\n"
+                 "        raise ZeroDivisionError('in a worker')\n"
+                 "    return eu_cm(*args)\n"
+                 "sweep._eu_cm = failing")
+        argv, _ = SWEEP_PARTIAL_SPANS
+        proc = run_forking_cli(argv, "3", patch)
+        out, err = finish(proc)
+        full, _ = finish(run_forking_cli(argv, "1"))
+        assert proc.returncode == 1
+        assert err.startswith(b"internal error: ") and err.count(b"\n") == 1
+        assert full.startswith(out) and len(out) < len(full)
+
+    @pytest.mark.parametrize("refused", [1, 2])
+    def test_refused_fork_writes_nothing(self, refused):
+        """The OS refusing the first or the second of two workers exits 1 with one
+        line and no stdout; a worker already forked sees its pipe close and exits."""
+        patch = ("calls, fork = [], os.fork\n"
+                 "def refusing():\n"
+                 "    calls.append(None)\n"
+                 f"    if len(calls) == {refused}:\n"
+                 "        raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+                 "    return fork()\n"
+                 "os.fork = refusing")
+        proc = run_forking_cli(SWEEP_PARTIAL_SPANS[0], "3", patch)
+        out, err = finish(proc)
+        assert (proc.returncode, out) == (1, b"")
+        assert err == (b"internal error: BlockingIOError: "
+                       b"[Errno 11] Resource temporarily unavailable\n")
 
 
 class WriteAndFlushOnly:

@@ -242,6 +242,13 @@ SINGLE_FAULTS = {
     "threads-negative": (
         ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10"], "-1",
         "error: worker count must be >= 0, got -1"),
+    # sweep reads the variable too, before it forks a worker or writes a byte.
+    "sweep-threads-not-int": (
+        ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:3"], "abc",
+        "error: DISPOSITIONS_SIM_THREADS must be an integer, got 'abc'"),
+    "sweep-threads-negative": (
+        ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:3"], "-1",
+        "error: worker count must be >= 0, got -1"),
     "argparse-type": (
         ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1e3"], None,
         "error: argument --n: invalid int value: '1e3'"),
