@@ -703,7 +703,7 @@ class TestSweepWorkers:
         argv, _ = SWEEP_PARTIAL_SPANS
         proc = run_forking_cli(argv, "3", patch)
         out, err = finish(proc)
-        full, _ = finish(run_forking_cli(argv, "1"))
+        _, full = run_cli_bytes(argv, env_threads="1")
         assert proc.returncode == 1
         assert err.startswith(b"internal error: ") and err.count(b"\n") == 1
         assert full.startswith(out) and len(out) < len(full)
