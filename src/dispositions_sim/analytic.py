@@ -33,8 +33,9 @@ class EuComparison(_Record, namedtuple("EuComparison", "eu_sm eu_cm")):
     """Expected utilities of the two dispositions and their comparison.
 
     Only the utilities are stored: ``margin`` (eu_cm - eu_sm) and
-    ``cm_is_rational`` (the margin is strictly positive; a tie is not
-    rational) are derived on each read, so neither can contradict them.
+    ``cm_is_rational`` (eu_cm > eu_sm; a tie is not rational) are derived on
+    each read, so neither can contradict them. Under gradual underflow the
+    comparison agrees with ``margin > 0`` for every pair of doubles, NaN too.
     """
 
     __slots__ = ()
@@ -45,7 +46,7 @@ class EuComparison(_Record, namedtuple("EuComparison", "eu_sm eu_cm")):
 
     @property
     def cm_is_rational(self) -> bool:
-        return self.margin > 0.0
+        return self.eu_cm > self.eu_sm
 
 
 def argument1_eus(pay: TransparentPayoffs, p: float) -> EuComparison:
@@ -140,7 +141,7 @@ def cm_rational(pay: TranslucentPayoffs, t: TranslucencyParams) -> EuComparison:
 
     The comparison of expected utilities is the primary definition; for
     q > 0 and r > 0 it coincides with p/q > critical_ratio(pay, r). The
-    boolean is computed from the margin directly so that q = 0, where the
+    boolean compares the two utilities directly so that q = 0, where the
     ratio form is undefined, needs no special-casing.
     """
     return EuComparison(

@@ -55,6 +55,15 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers or os.cpu_count() or 1
 
 
+def refused(count: int, kind: str, exc: BaseException, workers: int | None = None) -> InvalidInput:
+    """The error for an OS that refuses one of ``count`` ``kind`` workers (a thread, a
+    pipe or a fork), read as a bad worker count. It names DISPOSITIONS_SIM_THREADS when
+    that is set and ``workers`` (the count asked for) is None, as the count came from it."""
+    source = (f" ({_THREADS_ENV_VAR}={os.environ[_THREADS_ENV_VAR]})"
+              if workers is None and _THREADS_ENV_VAR in os.environ else "")
+    return InvalidInput(f"cannot start {count} {kind} workers{source}: {exc}")
+
+
 class OrderingViolation(InvalidInput):
     """Payoff values do not respect the required strict ordering."""
 

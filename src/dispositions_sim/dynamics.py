@@ -103,7 +103,7 @@ def interior_threshold(
         EuComparison(translucent_eu_sm(pay, t), translucent_eu_cm(pay, t))
         for t in (TranslucencyParams(p=p, q=q, r=r) for r in (0.0, 1.0))
     )
-    if not (lo.margin < 0.0 and hi.cm_is_rational):
+    if not (lo.eu_cm < lo.eu_sm and hi.cm_is_rational):
         return None
     # The margin at r = 0 is -q*v_noncoop <= 0, so the sign change puts
     # p*(v_coop - v_noncoop) above q*(1 - v_noncoop): a positive denominator.

@@ -23,25 +23,24 @@ calling thread and W - 1 helper threads run one routine: it claims blocks
 from one shared counter and hands back their summed counts, or whatever
 stopped it. The calling thread's result comes first, so its failure wins.
 The helpers are plain threads, joined before ``estimate_eus`` returns, so
-no thread pool is loaded. Each worker allocates, once, one row of
-``BLOCK_TRIALS`` doubles (512 KiB) and two boolean masks of 64 KiB: a
-block draws into its view of that row, which its three streams fill in
-turn, and compares into its views of the masks, so a block allocates no
-array but its three counts; memory grows with the worker count, not the
-trial count.
+no thread pool is loaded; a thread the OS refuses stops the others and is
+reported as a bad worker count (``core.refused``), as a refused sweep fork
+is. Each worker allocates, once, one row of ``BLOCK_TRIALS`` doubles
+(512 KiB) and two boolean masks of 64 KiB: a block draws into its view of
+that row, which its three streams fill in turn, and compares into its views
+of the masks, so a block allocates no array but its three counts; memory
+grows with the worker count, not the trial count.
 """
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from math import sqrt
 from threading import Lock, Thread
 
 import numpy as np
 
-from .core import (_THREADS_ENV_VAR, InvalidInput, TranslucencyParams, _index, _Record,
-                   resolve_workers)
+from .core import InvalidInput, TranslucencyParams, _index, _Record, refused, resolve_workers
 from .encounter import EncounterConfig, RngStream
 
 BLOCK_TRIALS = 65_536
@@ -67,12 +66,7 @@ class TrialReport(_Record, namedtuple("TrialReport", "n_trials mean_payoff_cm me
 
 def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, RngStream]:
     """The (partner, constrained-focal, straightforward-focal) streams of a block."""
-    base = 3 * block_index
-    return (
-        RngStream(seed, base),
-        RngStream(seed, base + 1),
-        RngStream(seed, base + 2),
-    )
+    return tuple(RngStream(seed, 3 * block_index + j) for j in range(3))
 
 
 def _run_block(
@@ -199,11 +193,7 @@ def estimate_eus(
             helpers.append(thread)
         results.insert(0, drain())
     except RuntimeError as exc:  # the OS refused a thread
-        source = (f" ({_THREADS_ENV_VAR}={os.environ[_THREADS_ENV_VAR]})"
-                  if workers is None and _THREADS_ENV_VAR in os.environ else "")
-        raise InvalidInput(
-            f"cannot start {n_workers} Monte Carlo workers{source}: {exc}"
-        ) from exc
+        raise refused(n_workers, "Monte Carlo", exc, workers) from exc
     finally:
         stop()
         for thread in helpers:
@@ -219,16 +209,10 @@ def estimate_eus(
     cm_noncoop = n_trials - cm_coop - cm_exploited
     sm_noncoop = n_trials - sm_defect
 
-    v_nc = cfg.payoffs.v_noncoop
-    v_c = cfg.payoffs.v_coop
-    mean_cm, stderr_cm = _mean_and_stderr(
-        {v_nc: cm_noncoop, v_c: cm_coop, 0.0: cm_exploited},
-        n_trials,
-    )
-    mean_sm, stderr_sm = _mean_and_stderr(
-        {v_nc: sm_noncoop, 1.0: sm_defect},
-        n_trials,
-    )
+    v_nc, v_c = cfg.payoffs
+    mean_cm, stderr_cm = _mean_and_stderr({v_nc: cm_noncoop, v_c: cm_coop, 0.0: cm_exploited},
+                                          n_trials)
+    mean_sm, stderr_sm = _mean_and_stderr({v_nc: sm_noncoop, 1.0: sm_defect}, n_trials)
 
     histogram = {
         "non_cooperation": cm_noncoop + sm_noncoop,

@@ -10,6 +10,8 @@ objects, so memory grows with the axis lengths, not with the number of rows.
 rejected grid walks no rows). Span k goes to worker k mod W: worker 0 is this
 process, which writes every span in row order; the others are forked children
 that send their spans down pipes, each at most a pipe's buffer ahead of it.
+The OS refusing a pipe or a fork is a bad worker count (``core.refused``), as a
+refused Monte Carlo thread is: the run writes nothing. Workers need ``os.fork``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
 from .cli import ROWS_PER_WRITE, Settings, _fmt
 from .core import (InvalidInput, TranslucencyParams, TranslucentPayoffs, _in_unit_interval,
-                   resolve_workers)
+                   refused, resolve_workers)
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
@@ -193,7 +195,7 @@ def run(settings: Settings) -> None:
         rows = zip(column(float, inner_name)[1], cm, sm, sm_text,
                    column(_critical_ratio, "v_noncoop", "v_coop", "r")[1])
         return ("".join([f"{head}{x}{tail},{_fmt(c)},{s},{_fmt(c - e)},{t},"
-                         f"{'true' if c - e > 0.0 else 'false'}\n" for x, c, e, s, t in rows])
+                         f"{'true' if c > e else 'false'}\n" for x, c, e, s, t in rows])
                 * (1 if moves else len(run)))
 
     per_point = -(-len(inner) // span)
@@ -202,18 +204,21 @@ def run(settings: Settings) -> None:
                          math.prod(map(len, grid.values())) // ROWS_PER_WRITE))
     readers, children = [], []
     try:
-        for w in range(1, workers):
-            reader, out = map(open, os.pipe(), ("rb", "wb"))
-            readers.append(reader)
-            with out:
-                if not (pid := os.fork()):
-                    try:  # never returns: a failure shows as a short pipe in marshal.load
-                        reader.close()
-                        out.writelines(marshal.dumps(text(k)) for k in range(w, spans, workers))
-                        out.flush()
-                    finally:
-                        os._exit(0)
-            children.append(pid)
+        try:
+            for w in range(1, workers):
+                reader, out = map(open, os.pipe(), ("rb", "wb"))
+                readers.append(reader)
+                with out:
+                    if not (pid := os.fork()):
+                        try:  # never returns: a failure shows as a short pipe in marshal.load
+                            reader.close()
+                            out.writelines(marshal.dumps(text(k)) for k in range(w, spans, workers))
+                            out.flush()
+                        finally:
+                            os._exit(0)
+                children.append(pid)
+        except OSError as exc:  # the OS refused a pipe or a fork; no byte is written yet
+            raise refused(workers, "sweep", exc) from exc
         sys.stdout.write(SWEEP_HEADER + "\n")
         for k in range(spans):
             sys.stdout.write(marshal.load(readers[k % workers - 1]) if k % workers else text(k))

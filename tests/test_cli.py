@@ -708,22 +708,38 @@ class TestSweepWorkers:
         assert err.startswith(b"internal error: ") and err.count(b"\n") == 1
         assert full.startswith(out) and len(out) < len(full)
 
-    @pytest.mark.parametrize("refused", [1, 2])
-    def test_refused_fork_writes_nothing(self, refused):
-        """The OS refusing the first or the second of two workers exits 1 with one
-        line and no stdout; a worker already forked sees its pipe close and exits."""
-        patch = ("calls, fork = [], os.fork\n"
+    @staticmethod
+    def run_refusing(call, refused, error):
+        """Run the partial-span sweep under DISPOSITIONS_SIM_THREADS=3, with the
+        ``refused``-th call to ``os.<call>`` raising ``error``; its (stdout, stderr)."""
+        patch = (f"calls, original = [], os.{call}\n"
                  "def refusing():\n"
                  "    calls.append(None)\n"
                  f"    if len(calls) == {refused}:\n"
-                 "        raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
-                 "    return fork()\n"
-                 "os.fork = refusing")
+                 f"        raise {error}\n"
+                 "    return original()\n"
+                 f"os.{call} = refusing")
         proc = run_forking_cli(SWEEP_PARTIAL_SPANS[0], "3", patch)
         out, err = finish(proc)
-        assert (proc.returncode, out) == (1, b"")
-        assert err == (b"internal error: BlockingIOError: "
-                       b"[Errno 11] Resource temporarily unavailable\n")
+        assert proc.returncode == 2
+        return out, err
+
+    @pytest.mark.parametrize("refused", [1, 2])
+    def test_refused_fork_writes_nothing(self, refused):
+        """The OS refusing the first or the second of two workers exits 2 with one
+        line and no stdout, as a refused Monte Carlo thread does; a worker already
+        forked sees its pipe close and exits."""
+        error = "BlockingIOError(11, 'Resource temporarily unavailable')"
+        assert self.run_refusing("fork", refused, error) == (
+            b"", b"error: cannot start 3 sweep workers (DISPOSITIONS_SIM_THREADS=3): "
+                 b"[Errno 11] Resource temporarily unavailable\n")
+
+    def test_refused_pipe_writes_nothing(self):
+        """The OS refusing the second worker's pipe, as when the process is out of
+        file descriptors, exits 2 the same way; the first worker exits."""
+        assert self.run_refusing("pipe", 2, "OSError(24, 'Too many open files')") == (
+            b"", b"error: cannot start 3 sweep workers (DISPOSITIONS_SIM_THREADS=3): "
+                 b"[Errno 24] Too many open files\n")
 
 
 class WriteAndFlushOnly:

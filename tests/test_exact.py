@@ -1,22 +1,59 @@
 """The printed decision against the exact oracle of ``exact.py``.
 
-``cm_rational`` decides from the float margin. Outside ``margin_error_bound``
+``cm_rational`` decides by ``eu_cm > eu_sm``, which is the sign of the float
+margin for every pair of doubles (the first test below). Outside ``margin_error_bound``
 of the exact margin that decision must be the exact sign, both in the library
 and in the ``sweep`` column. Inside the bound the float sign may differ; the
 witnesses below pin only exact values there, not today's output.
 """
 
 import contextlib
+import functools
 import io
 import math
+import sys
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dispositions_sim import TranslucencyParams, TranslucentPayoffs, cm_rational
+from dispositions_sim import EuComparison, TranslucencyParams, TranslucentPayoffs, cm_rational
 from dispositions_sim.cli import main
 from exact import margin, margin_error_bound, margin_root, margin_sign
+
+# Zero, the smallest subnormal, the smallest normal, the largest double and infinity,
+# each of both signs, and NaN.
+_EDGES = [sign * x for x in (0.0, math.ulp(0.0), sys.float_info.min, sys.float_info.max, math.inf)
+          for sign in (1.0, -1.0)] + [math.nan]
+_double = st.one_of(st.floats(), st.sampled_from(_EDGES))
+
+
+def _neighbour(x, steps):
+    """X moved ``steps`` doubles up, or down when ``steps`` is negative."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def double_pairs(draw):
+    """(eu_cm, eu_sm): the first any double (NaN and infinities too) or an edge value;
+    the second another such, the first itself, or a neighbour at most 3 doubles away."""
+    c = draw(_double)
+    return c, draw(st.one_of(_double, st.just(c), st.integers(-3, 3).map(
+        functools.partial(_neighbour, c))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(double_pairs())
+def test_comparing_the_utilities_is_the_sign_of_their_difference(pair):
+    """With gradual underflow, x - y rounds to 0 only when x == y, and NaN compares
+    false either way, so the comparison and the margin's sign never disagree."""
+    c, e = pair
+    assert (c > e) == (c - e > 0.0)
+    assert (c < e) == (c - e < 0.0)
+    assert EuComparison(eu_sm=e, eu_cm=c).cm_is_rational == (c - e > 0.0)
+
 
 _probability = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.1, 0.8, 1e-20]))
 

@@ -279,6 +279,20 @@ class TestDriver:
         assert SecondStartFails.starts == 2
         assert len(runs) <= workers + 4
 
+    def test_refused_thread_of_a_passed_count_does_not_name_the_variable(self, monkeypatch):
+        """A worker count passed to ``estimate_eus`` is not DISPOSITIONS_SIM_THREADS's,
+        even when that is set, so the refusal does not name it."""
+
+        class RefusingThread(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(montecarlo, "Thread", RefusingThread)
+        monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "5")
+        message = "^cannot start 3 Monte Carlo workers: can't start new thread$"
+        with pytest.raises(InvalidInput, match=message):
+            estimate_eus(make_config(), 3 * montecarlo.BLOCK_TRIALS, seed=2, workers=3)
+
     @pytest.mark.parametrize("fault", ["none", "failing_block", "refused_start"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_no_helper_outlives_the_call_or_reaches_excepthook(
