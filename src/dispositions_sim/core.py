@@ -72,14 +72,9 @@ class InvalidProbability(InvalidInput):
     """A probability lies outside the closed interval [0, 1]."""
 
 
-def _in_unit_interval(value: float) -> bool:
-    # NaN fails both comparisons and so is rejected.
-    return 0.0 <= value <= 1.0
-
-
 def check_probability(name: str, value: float) -> None:
     """Raise ``InvalidProbability`` unless ``value`` lies in [0, 1]."""
-    if not _in_unit_interval(value):
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons and so is rejected
         raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
 
 

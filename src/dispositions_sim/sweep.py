@@ -6,12 +6,13 @@ swept axis at a time, and imports no numpy. Storage is one ``array('d')`` per
 swept axis plus the rows of one span per worker; no axis is held as Python
 objects, so memory grows with the axis lengths, not with the number of rows.
 
-``run`` validates the whole grid before it forks a worker or writes a byte (a
-rejected grid walks no rows). Span k goes to worker k mod W: worker 0 is this
-process, which writes every span in row order; the others are forked children
-that send their spans down pipes, each at most a pipe's buffer ahead of it.
-The OS refusing a pipe or a fork is a bad worker count (``core.refused``), as a
-refused Monte Carlo thread is: the run writes nothing. Workers need ``os.fork``.
+``run`` checks each parameter's values with the constructors' own checks before
+it forks a worker or writes a byte (a rejected grid walks no rows). Span k goes
+to worker k mod W: worker 0 is this process, which writes every span in row
+order; the others are forked children that send their spans down pipes, each
+at most a pipe's buffer ahead of it. The OS refusing a pipe or a fork is a bad
+worker count (``core.refused``), as a refused Monte Carlo thread is: the run
+writes nothing. Without ``os.fork`` (as on Windows) this process is the one worker.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import math
 import os
 import sys
 from array import array
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Sequence
 
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
 from .cli import ROWS_PER_WRITE, Settings, _fmt
-from .core import (InvalidInput, TranslucencyParams, TranslucentPayoffs, _in_unit_interval,
-                   refused, resolve_workers)
+from .core import InvalidInput, TranslucentPayoffs, check_probability, refused, resolve_workers
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
@@ -110,48 +110,27 @@ def build_sweep_grid(settings: Settings) -> dict[str, Sequence[float]]:
     return grid | axes
 
 
-def _grid_is_valid(grid: dict[str, Sequence[float]]) -> bool:
-    """Whether both constructors accept every grid point, decided from each parameter's
-    values once: p, q and r lie in [0, 1], and every v_noncoop is below every v_coop inside
-    (0, 1), which, with no NaN, holds iff the largest v_noncoop is below the smallest v_coop."""
+def _check_grid(grid: dict[str, Sequence[float]]) -> None:
+    """Raise what the constructors raise at some bad grid point, checking each parameter's
+    values once, in their order: payoffs, then p, q, r. The payoffs hold iff each v_noncoop
+    is below the least v_coop and each v_coop above the largest v_noncoop. A NaN v_coop is
+    taken as the least and a NaN v_noncoop fails first: min and max depend on where it sits."""
     lows, highs = grid["v_noncoop"], grid["v_coop"]
-    return (
-        all(map(_in_unit_interval, chain(grid["p"], grid["q"], grid["r"])))
-        and all(0.0 < v < 1.0 for v in chain(lows, highs))
-        and max(lows) < min(highs)
-    )
-
-
-def _raise_first_invalid_point(grid: dict[str, Sequence[float]]) -> None:
-    """Name the first point, in row order, of a grid that ``_grid_is_valid`` rejects:
-    each axis, outermost first, is pinned to the first value whose sub-grid (earlier
-    axes pinned, later ones whole) is invalid, so no row is walked. A one-point axis
-    is pinned unchecked, as the sub-grid is already invalid; a later whole axis is
-    checked as what decides the rule, a NaN if it holds one, else its two extremes."""
-    pinned = dict(grid)
-    long_axes = [name for name, values in grid.items() if len(values) > 1]
-    for name in long_axes[1:]:  # the first long axis is only ever read value by value
-        values = grid[name]
-        pinned[name] = (math.nan,) if any(map(math.isnan, values)) else (min(values), max(values))
-    for name in long_axes:
-        pinned[name] = next((v,) for v in grid[name] if not _grid_is_valid({**pinned, name: (v,)}))
-    point = {name: value for name, (value,) in pinned.items()}
-    try:
-        TranslucentPayoffs(v_noncoop=point["v_noncoop"], v_coop=point["v_coop"])
-        TranslucencyParams(p=point["p"], q=point["q"], r=point["r"])
-    except InvalidInput as exc:
-        shown = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
-        raise InvalidInput(f"invalid grid point ({shown}): {exc}") from exc
+    least = min(highs, key=lambda v: (v == v, v))
+    for v in lows:
+        TranslucentPayoffs(v, least)
+    most = max(lows)
+    for v in highs:
+        TranslucentPayoffs(most, v)
+    for name in ("p", "q", "r"):
+        for v in grid[name]:
+            check_probability(name, v)
 
 
 def run(settings: Settings) -> None:
     """Write the sweep CSV of the grid that ``settings`` describes."""
     grid = build_sweep_grid(settings)
-
-    # Validate the whole grid before emitting anything: a bad point must
-    # fail the run, not cut the output short.
-    if not _grid_is_valid(grid):
-        _raise_first_invalid_point(grid)
+    _check_grid(grid)  # before any output: a bad point must fail the run, not cut it short
 
     # Rows are built one span of the innermost walked axis (of more than one point,
     # else the last axis) at a time. Spans are numbered in row order, each number
@@ -200,7 +179,7 @@ def run(settings: Settings) -> None:
 
     per_point = -(-len(inner) // span)
     spans = math.prod(len(grid[name]) for name in outer) * per_point
-    workers = max(1, min(resolve_workers(), os.cpu_count() or 1,
+    workers = max(1, min(resolve_workers(), (hasattr(os, "fork") and os.cpu_count()) or 1,
                          math.prod(map(len, grid.values())) // ROWS_PER_WRITE))
     readers, children = [], []
     try:

@@ -264,8 +264,7 @@ class TestSweepCommand:
         )
         assert code == 2
         assert out == ""  # nothing emitted before validation finished
-        assert "invalid grid point" in err
-        assert "v_noncoop=0.5" in err
+        assert err == "OrderingViolation: require 0 < v_noncoop < v_coop < 1, got 0.5, 0.5\n"
 
     def test_axis_and_fixed_flag_conflict_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -676,6 +675,15 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_stdout_is_byte_identical_for_every_worker_count(self, argv, digest, threads):
         proc = run_forking_cli(argv, threads)
+        out, err = finish(proc)
+        assert (proc.returncode, err) == (0, b"")
+        assert hashlib.md5(out).hexdigest() == digest
+
+    def test_without_fork_one_process_writes_the_same_bytes(self):
+        """Where ``os`` has no ``fork`` (Windows), the grid that three workers would
+        share is built by the CLI process alone."""
+        argv, _, digest = MD5_PINS["sweep_grid"]
+        proc = run_forking_cli(argv, "3", "del os.fork")
         out, err = finish(proc)
         assert (proc.returncode, err) == (0, b"")
         assert hashlib.md5(out).hexdigest() == digest

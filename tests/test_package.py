@@ -163,8 +163,7 @@ README_SWEEP = (
     "axis, expected",
     [
         ("r=0.25:0.75:3", (0, README_SWEEP, "")),
-        ("r=0:2:3", (2, "", "error: invalid grid point (p=0.8, q=0.1, r=2.0, "
-                     "v_noncoop=0.5, v_coop=0.75): r must lie in [0, 1], got 2.0\n")),
+        ("r=0:2:3", (2, "", "InvalidProbability: r must lie in [0, 1], got 2.0\n")),
     ],
 )
 def test_sweep_needs_no_numpy(axis, expected):

@@ -1,6 +1,7 @@
 """Sweep output contract: golden bytes, axes equal to numpy's linspace, a
-point-by-point reference, the invalid-point message, and memory that grows
-with the axis lengths, by about a double per point, not with the row count."""
+point-by-point reference, a rejected grid's line (the one ``analytic`` prints
+at a bad point), and memory that grows with the axis lengths, by about a
+double per point, not with the row count."""
 
 import contextlib
 import hashlib
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dispositions_sim import (
@@ -54,23 +55,23 @@ def sweep_argv(fixed, axes):
 def reference_sweep(fixed, axes):
     """The sweep CSV derived one point at a time from the public scalar API.
 
-    Returns the full output, or the stderr line for the first invalid
-    point in row order.
+    Returns the full output if the constructors accept every point, else the
+    set of stderr lines ``analytic`` prints at the rejected points.
     """
     names = [name for name, *_ in axes]
     values = [
         [start] if count == 1 else np.linspace(start, stop, count).tolist()
         for _, start, stop, count in axes
     ]
-    lines = [SWEEP_HEADER]
+    lines, rejected = [SWEEP_HEADER], set()
     for combo in itertools.product(*values):
         point = {**fixed, **dict(zip(names, combo))}
         try:
             pay = TranslucentPayoffs(point["v_noncoop"], point["v_coop"])
             t = TranslucencyParams(point["p"], point["q"], point["r"])
         except (OrderingViolation, InvalidProbability) as exc:
-            shown = ", ".join(f"{k}={point[k]!r}" for k in PARAM_NAMES)
-            return f"error: invalid grid point ({shown}): {exc}\n"
+            rejected.add(f"{type(exc).__name__}: {exc}\n")
+            continue
         c = cm_rational(pay, t)
         fields = [point[k] for k in PARAM_NAMES]
         fields += [c.eu_cm, c.eu_sm, c.margin, critical_ratio(pay, t.r)]
@@ -78,7 +79,7 @@ def reference_sweep(fixed, axes):
             ",".join(f"{v:.17g}" for v in fields)
             + ("," + ("true" if c.cm_is_rational else "false"))
         )
-    return "\n".join(lines) + "\n"
+    return rejected or "\n".join(lines) + "\n"
 
 
 GOLDEN_GRIDS = {
@@ -142,6 +143,22 @@ def test_axis_values_are_numpys_linspace_bit_for_bit(start, stop, count, same):
     expected = [start] if count == 1 else np.linspace(start, stop, count)
     values = _fill_linspace(array("d", [0.0]) * count, start, stop)
     assert _bits(values) == _bits(expected)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@example(0.0, 5e-324, 3)  # a zero step: each point is i / div * delta + START
+@example(1.0, 0.0, 49)
+@settings(max_examples=2000, deadline=None)
+@given(_finite, _finite, st.integers(1, 64))
+def test_axis_values_are_monotone_from_start_to_stop(start, stop, count):
+    """Non-decreasing when START <= STOP and non-increasing otherwise, for finite
+    bounds whose points are all finite."""
+    values = _fill_linspace(array("d", [0.0]) * count, start, stop).tolist()
+    assume(all(map(math.isfinite, values)))
+    steps = list(zip(values, values[1:]))
+    assert all(a <= b for a, b in steps) if start <= stop else all(a >= b for a, b in steps)
 
 
 def test_golden_csv_covers_infinite_ratio():
@@ -211,8 +228,8 @@ def test_sweep_matches_point_by_point_reference(grid, chunk_rows):
         code, out, err = run_sweep(sweep_argv(fixed, axes))
     finally:
         sweep.ROWS_PER_WRITE = default_rows
-    if expected.startswith("error: "):
-        assert (code, out, err) == (2, "", expected)
+    if isinstance(expected, set):
+        assert (code, out) == (2, "") and err in expected, (err, expected)
     else:
         assert (code, out, err) == (0, expected, "")
 
@@ -245,64 +262,51 @@ def test_a_column_is_evaluated_once_while_what_it_reads_is_unchanged(
     assert counts == dict.fromkeys(counts, calls)
 
 
-# The first bad row is the last of 160 000: only v_noncoop=0.5 meets v_coop=0.5.
+# The only bad point is the last row of 160 000: only v_noncoop=0.5 meets v_coop=0.5.
 LAST_ROW_INVALID_ARGV = ["--p", "0.8", "--q", "0.1", "--r", "0.5",
                          "--axis", "v_noncoop=0.1:0.5:400", "--axis", "v_coop=0.5:0.9:400"]
+ORDER_LINE = "OrderingViolation: require 0 < v_noncoop < v_coop < 1, got {}, {}\n"
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, line",
     [
-        # Row 0 has p out of range; later rows also break the payoff order.
-        (
-            ["--vc", "0.5", "--q", "0.1", "--r", "0.5",
-             "--axis", "v_noncoop=0.1:0.9:5", "--axis", "p=-0.5:1.5:5"],
-            "(p=-0.5, q=0.1, r=0.5, v_noncoop=0.1, v_coop=0.5): "
-            "p must lie in [0, 1], got -0.5",
-        ),
-        # Both checks fail at row 0: the payoff order is reported first.
-        (
-            ["--vc", "0.5", "--q", "0.1", "--r", "0.5",
-             "--axis", "v_noncoop=0.5:0.9:2", "--axis", "p=1.5:0:4"],
-            "(p=1.5, q=0.1, r=0.5, v_noncoop=0.5, v_coop=0.5): "
-            "require 0 < v_noncoop < v_coop < 1, got 0.5, 0.5",
-        ),
+        # p is out of range at row 0; later rows break the payoff order, which is
+        # checked first, as analytic checks it first at any point.
+        (["--vc", "0.5", "--q", "0.1", "--r", "0.5",
+          "--axis", "v_noncoop=0.1:0.9:5", "--axis", "p=-0.5:1.5:5"],
+         ORDER_LINE.format(0.5, 0.5)),
+        # Both checks fail at row 0: the payoff order is reported.
+        (["--vc", "0.5", "--q", "0.1", "--r", "0.5",
+          "--axis", "v_noncoop=0.5:0.9:2", "--axis", "p=1.5:0:4"],
+         ORDER_LINE.format(0.5, 0.5)),
         # The first bad row is 6000, in a later block of rows.
-        (
-            ["--vc", "0.55", "--q", "0.1", "--r", "0.5",
-             "--axis", "v_noncoop=0.2:0.6:3", "--axis", "p=0:1:3000"],
-            "(p=0.0, q=0.1, r=0.5, v_noncoop=0.6, v_coop=0.55): "
-            "require 0 < v_noncoop < v_coop < 1, got 0.6, 0.55",
-        ),
-        (
-            LAST_ROW_INVALID_ARGV,
-            "(p=0.8, q=0.1, r=0.5, v_noncoop=0.5, v_coop=0.5): "
-            "require 0 < v_noncoop < v_coop < 1, got 0.5, 0.5",
-        ),
+        (["--vc", "0.55", "--q", "0.1", "--r", "0.5",
+          "--axis", "v_noncoop=0.2:0.6:3", "--axis", "p=0:1:3000"],
+         ORDER_LINE.format(0.6, 0.55)),
+        (LAST_ROW_INVALID_ARGV, ORDER_LINE.format(0.5, 0.5)),
+        # q is checked before r, although the r axis is outermost and bad at row 0.
+        (["--vnc", "0.5", "--vc", "0.75", "--p", "0.8",
+          "--axis", "r=2:0:3", "--axis", "q=0:-1:2"],
+         "InvalidProbability: q must lie in [0, 1], got -1.0\n"),
+        # A NaN payoff, wherever it sits: START=1e400 makes every point but the last
+        # a NaN, STOP=1e400 the first one; a NaN flag lies beside its swept partner.
+        *((["--p", "0.8", "--q", "0.1", "--r", "0.5", flag, value, "--axis", axis], line)
+          for flag, value, axis, line in [
+              ("--vc", "0.75", "v_noncoop=1e400:0.4:3", ORDER_LINE.format(math.nan, 0.75)),
+              ("--vc", "0.75", "v_noncoop=0.1:1e400:3", ORDER_LINE.format(math.nan, 0.75)),
+              ("--vnc", "0.5", "v_coop=1e400:0.9:3", ORDER_LINE.format(0.5, math.nan)),
+              ("--vnc", "0.5", "v_coop=0.6:1e400:3", ORDER_LINE.format(0.5, math.nan)),
+              ("--vnc", "nan", "v_coop=0.6:0.9:4", ORDER_LINE.format(math.nan, 0.6)),
+              ("--vc", "nan", "v_noncoop=0.1:0.4:4", ORDER_LINE.format(0.1, math.nan)),
+          ]),
     ],
+    ids=["payoffs-before-p", "both-bad-at-row-0", "bad-in-a-later-span", "bad-at-the-last-row",
+         "q-before-an-outer-r", "nan-v_noncoop-start", "nan-v_noncoop-stop", "nan-v_coop-start",
+         "nan-v_coop-stop", "nan-vnc-flag", "nan-vc-flag"],
 )
-def test_first_invalid_point_in_row_order_is_named(argv, message):
-    code, out, err = run_sweep(argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: invalid grid point {message}\n"
-
-
-def test_finding_the_first_invalid_point_reads_each_axis_a_bounded_number_of_times(
-    monkeypatch,
-):
-    """Each check of a candidate point reads at most two values of a whole axis,
-    not the axis itself, so naming the bad point is linear in the axis points."""
-    is_valid, scanned = sweep._grid_is_valid, []
-
-    def spy(grid):
-        scanned.append(sum(map(len, grid.values())))
-        return is_valid(grid)
-
-    monkeypatch.setattr(sweep, "_grid_is_valid", spy)
-    assert run_sweep(LAST_ROW_INVALID_ARGV)[0] == 2
-    axis_points = 3 + 400 + 400
-    assert sum(scanned) <= 8 * axis_points, sum(scanned)
+def test_a_rejected_grid_prints_the_constructors_first_failing_check(argv, line):
+    assert run_sweep(argv) == (2, "", line)
 
 
 class CountingAxis(Sequence):
@@ -319,24 +323,95 @@ class CountingAxis(Sequence):
         return self.values[index]
 
 
-def test_a_long_first_axis_bad_at_its_first_value_is_not_read_whole(monkeypatch):
-    """The first axis of two or more points is scanned value by value, never
-    reduced to its extremes, so a bad first value ends the search at once."""
-    build, axes = sweep.build_sweep_grid, []
+def counting_axes(monkeypatch, *names):
+    """The axes NAMES of the next sweep's grid, each wrapped in a CountingAxis."""
+    build, axes = sweep.build_sweep_grid, {}
 
     def counting_grid(settings):
         grid = build(settings)
-        grid["r"] = CountingAxis(grid["r"])
-        axes.append(grid["r"])
+        for name in names:
+            grid[name] = axes[name] = CountingAxis(grid[name])
         return grid
 
     monkeypatch.setattr(sweep, "build_sweep_grid", counting_grid)
+    return axes
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (LAST_ROW_INVALID_ARGV, ORDER_LINE.format(0.5, 0.5)),
+        # Only the last v_coop is bad, so the largest v_noncoop is taken as well.
+        (["--p", "0.8", "--q", "0.1", "--r", "0.5",
+          "--axis", "v_noncoop=0.1:0.4:400", "--axis", "v_coop=0.5:1:400"],
+         ORDER_LINE.format(0.4, 1.0)),
+    ],
+    ids=["v_noncoop-fails", "v_coop-fails"],
+)
+def test_rejecting_a_payoff_grid_reads_each_axis_a_bounded_number_of_times(
+    monkeypatch, argv, line
+):
+    """Each payoff axis is read a few times over, not once per value of the other."""
+    axes = counting_axes(monkeypatch, "v_noncoop", "v_coop")
+    assert run_sweep(argv) == (2, "", line)
+    for name, axis in axes.items():
+        assert axis.reads <= 3 * len(axis), (name, axis.reads)
+
+
+def test_a_long_first_axis_bad_at_its_first_value_is_not_read_whole(monkeypatch):
+    """p, q and r are checked value by value, never reduced to their extremes
+    first, so a bad first value ends the check at once."""
+    axes = counting_axes(monkeypatch, "r")
     code, out, err = run_sweep(["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1",
                                 "--axis", "r=-1:1:100000"])
     assert (code, out) == (2, "")
-    assert err == ("error: invalid grid point (p=0.8, q=0.1, r=-1.0, v_noncoop=0.5, "
-                   "v_coop=0.75): r must lie in [0, 1], got -1.0\n")
-    assert axes[0].reads <= 10, axes[0].reads
+    assert err == "InvalidProbability: r must lie in [0, 1], got -1.0\n"
+    assert axes["r"].reads <= 10, axes["r"].reads
+
+
+REFERENCE_POINT = {"p": 0.8, "q": 0.1, "r": 0.5, "v_noncoop": 0.5, "v_coop": 0.75}
+# Each parameter at and past the bounds of its range, and a payoff pair out of order.
+ONE_POINT_CASES = [
+    *({name: value} for name in PARAM_NAMES for value in (0.0, -0.0, 1.0, -0.25, 1.25, math.nan)),
+    {"v_noncoop": 0.8, "v_coop": 0.75},
+]
+
+
+@pytest.mark.parametrize("as_axis", [False, True], ids=["flag", "one-point-axis"])
+@pytest.mark.parametrize(
+    "change", ONE_POINT_CASES, ids=lambda change: ",".join(f"{k}={v!r}" for k, v in change.items())
+)
+def test_a_one_point_sweep_exits_as_analytic_does(change, as_axis):
+    """A sweep whose grid is one point exits with the code and stderr line of
+    ``analytic`` at that point. The changed parameters are given as flags or as
+    one-point axes; a sweep needs one axis, so with flags an unchanged one is swept."""
+    point = REFERENCE_POINT | change
+    swept = [*change] if as_axis else [next(name for name in PARAM_NAMES if name not in change)]
+    fixed = {name: value for name, value in point.items() if name not in swept}
+    argv = sweep_argv(fixed, [(name, point[name], point[name], 1) for name in swept])
+    code, _, err = run_sweep(argv)
+    analytic = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(analytic):
+        expected_code = main(["analytic", *sweep_argv(point, [])])
+    assert (code, err) == (expected_code, analytic.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_grid_check_names_a_nan_at_any_place_on_either_payoff_axis(lows, highs, overlap, data):
+    """min and max of an axis depend on where its NaN sits, as no comparison with
+    a NaN holds: the NaN fails its own check before either is taken. A NaN v_coop
+    is taken as the least, so it is named also where a v_noncoop of 0.95 lies
+    above every other v_coop."""
+    grid = {"p": (0.8,), "q": (0.1,), "r": (0.5,),
+            "v_noncoop": array("d", [0.1 + 0.05 * i for i in range(lows)]),
+            "v_coop": array("d", [0.6 + 0.05 * i for i in range(highs)])}
+    axis = data.draw(st.sampled_from(["v_noncoop", "v_coop"]))
+    grid[axis][data.draw(st.integers(0, len(grid[axis]) - 1))] = math.nan
+    if axis == "v_coop" and overlap:
+        grid["v_noncoop"].append(0.95)
+    with pytest.raises(OrderingViolation, match="nan"):
+        sweep._check_grid(grid)
 
 
 # Three 16 MiB axes whose 2**63 rows pass the signed 64-bit row bound.
@@ -391,7 +466,7 @@ def test_sweep_memory_does_not_grow_with_row_count():
 @pytest.mark.parametrize(
     "argv, expected_code, counts",
     [
-        # A rejected grid is searched axis by axis, not walked row by row.
+        # A rejected grid is checked axis by axis, not walked row by row.
         (["--p", "0.8", "--q", "0.1", "--axis", "r=-1:1:{}"], 2, (250_000, 2_500_000)),
         # The one-point axis is not walked, so the long axis is the innermost.
         (["--q", "0.1", "--axis", "r=0:1:{}", "--axis", "p=0:0:1"], 0, (40_000, 400_000)),
