@@ -41,8 +41,9 @@ def _index(value, name: str, error: type[InvalidInput] = InvalidInput) -> int:
 _THREADS_ENV_VAR = "DISPOSITIONS_SIM_THREADS"
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count from the argument or DISPOSITIONS_SIM_THREADS (0 = auto)."""
+def resolve_workers(units: int, workers: int | None = None) -> int:
+    """W for ``units`` units of work, in both pools: ``workers``, else DISPOSITIONS_SIM_THREADS;
+    0 or unset is the CPUs this process may run on. W is at most ``units``, and at least 1."""
     if workers is None:
         raw = os.environ.get(_THREADS_ENV_VAR, "0")
         try:
@@ -52,7 +53,9 @@ def resolve_workers(workers: int | None = None) -> int:
     workers = _index(workers, "workers")
     if workers < 0:
         raise InvalidInput(f"worker count must be >= 0, got {workers}")
-    return workers or os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    workers = workers or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+    return max(1, min(workers, units))
 
 
 def refused(count: int, kind: str, exc: BaseException, workers: int | None = None) -> InvalidInput:

@@ -17,8 +17,7 @@ results are integer outcome counts; means and standard errors are
 recovered from the counts, which keeps degenerate configurations (for
 example p = q = 0) exact.
 
-Worker count is taken from the DISPOSITIONS_SIM_THREADS environment
-variable when not passed explicitly; 0 or unset means automatic. The
+The worker count W is ``core.resolve_workers``'s, as the sweep's is. The
 calling thread and W - 1 helper threads run one routine: it claims blocks
 from one shared counter and hands back their summed counts, or whatever
 stopped it. The calling thread's result comes first, so its failure wins.
@@ -154,7 +153,7 @@ def estimate_eus(
         raise InvalidInput(f"seed must be >= 0, got {seed}")
 
     n_blocks = -(-n_trials // BLOCK_TRIALS)
-    n_workers = min(resolve_workers(workers), n_blocks)
+    n_workers = resolve_workers(n_blocks, workers)
     unclaimed = iter(range(n_blocks))
     claim_lock = Lock()
 

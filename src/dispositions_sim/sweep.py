@@ -179,8 +179,8 @@ def run(settings: Settings) -> None:
 
     per_point = -(-len(inner) // span)
     spans = math.prod(len(grid[name]) for name in outer) * per_point
-    workers = max(1, min(resolve_workers(), (hasattr(os, "fork") and os.cpu_count()) or 1,
-                         math.prod(map(len, grid.values())) // ROWS_PER_WRITE))
+    workers = resolve_workers(math.prod(map(len, grid.values())) // ROWS_PER_WRITE
+                              if hasattr(os, "fork") else 1)
     readers, children = [], []
     try:
         try:

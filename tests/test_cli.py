@@ -625,12 +625,10 @@ def test_stdout_matches_pinned_md5(name, capsys, monkeypatch):
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
-# Runs the CLI on the remaining arguments, as ``python -m dispositions_sim`` does, on
-# a host that reports eight CPUs, so that DISPOSITIONS_SIM_THREADS alone sets how many
-# sweep workers run. {patch} stands for code run before the CLI.
+# Runs the CLI on the remaining arguments, as ``python -m dispositions_sim`` does.
+# {patch} stands for code run before the CLI.
 FORKING_CLI = (
     "import os, sys\n"
-    "os.cpu_count = lambda: 8\n"
     "{patch}\n"
     "from dispositions_sim.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
@@ -643,9 +641,12 @@ SWEEP_PARTIAL_SPANS = (["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
 
 
 def run_forking_cli(argv, threads, patch=""):
-    """Start FORKING_CLI on ``argv`` under DISPOSITIONS_SIM_THREADS=``threads``, as the
-    leader of a new session, so that its process group holds every worker it forks."""
+    """Start FORKING_CLI on ``argv`` under DISPOSITIONS_SIM_THREADS=``threads`` (unset
+    if None), as the leader of a new session, so that its process group holds every
+    worker it forks."""
     env = dict(os.environ, DISPOSITIONS_SIM_THREADS=threads)
+    if threads is None:
+        del env["DISPOSITIONS_SIM_THREADS"]
     return subprocess.Popen([sys.executable, "-c", FORKING_CLI.format(patch=patch), *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
                             start_new_session=True)
@@ -681,11 +682,29 @@ class TestSweepWorkers:
 
     def test_without_fork_one_process_writes_the_same_bytes(self):
         """Where ``os`` has no ``fork`` (Windows), the grid that three workers would
-        share is built by the CLI process alone."""
+        share under DISPOSITIONS_SIM_THREADS=3 is built by the CLI process alone."""
         argv, _, digest = MD5_PINS["sweep_grid"]
         proc = run_forking_cli(argv, "3", "del os.fork")
         out, err = finish(proc)
         assert (proc.returncode, err) == (0, b"")
+        assert hashlib.md5(out).hexdigest() == digest
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
+    @pytest.mark.parametrize("threads, forks", [(None, 0), ("3", 2)], ids=["unset", "3"])
+    def test_one_allowed_cpu_forks_only_the_workers_asked_for(self, threads, forks):
+        """Run on one CPU (by its own affinity mask, whatever the host has), the default
+        sweep is the CLI process alone; a count given is obeyed as it stands. The run
+        reports on stderr how often it called ``os.fork``; its workers exit with
+        ``os._exit``, which skips that report."""
+        patch = ("import atexit\n"
+                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                 "forks, fork = [], os.fork\n"
+                 "os.fork = lambda: forks.append(None) or fork()\n"
+                 "atexit.register(lambda: sys.stderr.write(f'{len(forks)} forks\\n'))")
+        argv, _, digest = MD5_PINS["sweep_grid"]
+        proc = run_forking_cli(argv, threads, patch)
+        out, err = finish(proc)
+        assert (proc.returncode, err) == (0, f"{forks} forks\n".encode())
         assert hashlib.md5(out).hexdigest() == digest
 
     def test_reader_closing_early_exits_0_and_leaves_no_process(self):

@@ -25,6 +25,7 @@ from dispositions_sim.dynamics import (
     evolve,
     interior_threshold,
 )
+from exact import margin_line, margin_root
 
 PAY = TranslucentPayoffs(0.5, 0.75)
 
@@ -227,12 +228,9 @@ class TestInteriorThreshold:
         assert interior_threshold(PAY, p=0.8, q=0.1) == 0.25
 
     def test_reference_root_against_rational_oracle(self):
-        """The EU margin is linear in r; its root solves q*v_nc = r*slope."""
-        slope = (
-            Fraction(4, 5) * Fraction(1, 4)
-            + Fraction(1, 10) * (2 * Fraction(1, 2) - 1)
-        )
-        exact_root = (Fraction(1, 10) * Fraction(1, 2)) / slope
+        """The EU margin is linear in r, ``a + s*r``; its root solves -a = r*s. The
+        doubles 0.8 and 0.1 give p = 8q exactly, so the root is 1/4 exactly."""
+        exact_root = margin_root(*PAY, p=0.8, q=0.1)
         assert exact_root == Fraction(1, 4)
         root = interior_threshold(PAY, p=0.8, q=0.1)
         assert root == pytest.approx(0.25, abs=1e-9)
@@ -272,12 +270,10 @@ class TestInteriorThreshold:
             p = round(rng.uniform(0.05, 1.0), 3)
             q = round(rng.uniform(0.05, 1.0), 3)
             pay = TranslucentPayoffs(v_nc, v_c)
-            f_nc, f_c = Fraction(str(v_nc)), Fraction(str(v_c))
-            f_p, f_q = Fraction(str(p)), Fraction(str(q))
-            slope = f_p * (f_c - f_nc) + f_q * (2 * f_nc - 1)
+            _, slope = margin_line(v_nc, v_c, p, q)
             if slope <= 0:
                 continue
-            exact = (f_q * f_nc) / slope
+            exact = margin_root(v_nc, v_c, p, q)
             root = interior_threshold(pay, p, q)
             if not (0 < exact < 1):
                 assert root is None

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.encounter import EncounterConfig, RngStream
+import pcg64
 from scalar_oracle import resolve_encounter, uniform
 
 SM = "sm"
@@ -34,6 +35,11 @@ def test_encounter_config_record_contract(record_contract):
         "EncounterConfig(payoffs=TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75), "
         "params=TranslucencyParams(p=0.8, q=0.1, r=0.5))",
     )
+
+
+# Seeds of one, two and three 32-bit words, each word's extremes among them.
+SPEC_SEEDS = [0, 1, 7, 42, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**64 - 1,
+              2**64, 2**70]
 
 
 class TestRngStream:
@@ -89,9 +95,22 @@ class TestRngStream:
     def test_first_draws_are_pinned(self, seed, stream_id, first_draws):
         """Every ``simulate`` output rests on numpy's PCG64 stream seeded by
         ``SeedSequence([seed, stream_id])``; a numpy that changes that stream
-        fails here by name, not only as a changed ``simulate`` checksum."""
-        draws = RngStream(seed, stream_id).uniforms(np.empty(3)).tolist()
-        assert draws == [float.fromhex(text) for text in first_draws]
+        fails here by name, not only as a changed ``simulate`` checksum. The
+        pins are the pure-Python spec's draws too."""
+        pinned = [float.fromhex(text) for text in first_draws]
+        assert RngStream(seed, stream_id).uniforms(np.empty(3)).tolist() == pinned
+        spec = pcg64.stream(seed, stream_id)
+        assert [spec.random() for _ in range(3)] == pinned
+
+    @pytest.mark.parametrize("seed", SPEC_SEEDS)
+    def test_stream_matches_the_pure_python_spec(self, seed):
+        """Bit for bit, 50 draws of each stream: the first three of a block's streams
+        and streams whose id takes more than one 32-bit word."""
+        for stream_id in (0, 1, 2, 2**32 + 5):
+            draws = RngStream(seed, stream_id).uniforms(np.empty(50)).tolist()
+            spec = pcg64.stream(seed, stream_id)
+            assert [x.hex() for x in draws] == [spec.random().hex() for _ in range(50)], (
+                f"seed {seed}, stream_id {stream_id}")
 
 
 class TestResolveEncounter:

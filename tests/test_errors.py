@@ -114,10 +114,10 @@ class TestLibraryChecks:
 
     def test_worker_count(self, monkeypatch):
         with pytest.raises(InvalidInput, match=r"^worker count must be >= 0, got -2$"):
-            resolve_workers(-2)
+            resolve_workers(1, -2)
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "two")
         with pytest.raises(InvalidInput, match="must be an integer, got 'two'"):
-            resolve_workers()
+            resolve_workers(1)
 
     def test_negative_seed_rejected_before_any_block(self, monkeypatch):
         def no_blocks(*args):

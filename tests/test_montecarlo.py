@@ -2,6 +2,7 @@
 agreement with the closed forms it exists to check."""
 
 import contextlib
+import os
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,12 @@ import numpy as np
 import pytest
 
 from dispositions_sim.analytic import translucent_eu_cm, translucent_eu_sm
-from dispositions_sim.core import InvalidInput, TranslucencyParams, TranslucentPayoffs
+from dispositions_sim.core import (
+    InvalidInput,
+    TranslucencyParams,
+    TranslucentPayoffs,
+    resolve_workers,
+)
 from dispositions_sim.encounter import EncounterConfig
 from dispositions_sim import montecarlo
 from dispositions_sim.montecarlo import (
@@ -197,6 +203,44 @@ class TestDeterminism:
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "lots")
         with pytest.raises(ValueError):
             estimate_eus(make_config(), 10, seed=0)
+
+
+class TestWorkerRule:
+    """W is the count passed, else DISPOSITIONS_SIM_THREADS; 0 or unset is the number of
+    CPUs this process may run on. ``core.resolve_workers`` decides it for both pools."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cpus_reported(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("DISPOSITIONS_SIM_THREADS", raising=False)
+
+    def test_automatic_count_reads_the_affinity_mask(self, monkeypatch):
+        """Allowed one CPU of eight, the calling thread runs every block: no helper
+        thread starts, and the report is the one-worker report."""
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        single = estimate_eus(make_config(), 20 * 64 + 5, seed=4, workers=1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(montecarlo, "Thread", no_thread)
+        assert estimate_eus(make_config(), 20 * 64 + 5, seed=4, workers=None) == single
+
+    def test_without_an_affinity_mask_the_cpu_count_is_used(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_workers(100) == 8
+        assert resolve_workers(5) == 5  # at most one worker per unit of work
+        assert resolve_workers(0) == 1  # and never below one
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+        assert resolve_workers(100) == 1
+
+    def test_a_count_given_is_obeyed_beyond_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers(100, 12) == 12
+        monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "12")
+        assert resolve_workers(100) == 12
+        assert resolve_workers(3) == 3
 
 
 def record_blocks(monkeypatch, fail_at=None):
