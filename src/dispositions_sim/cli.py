@@ -21,7 +21,7 @@ with exit 0.
 
 A JSON file passed via --config supplies defaults for any flag (keyed by
 the long flag name, e.g. {"vnc": 0.5, "axis": ["r=0:1:5"]}); explicit
-flags take precedence.
+flags take precedence, and a key that names no flag is an error.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ def _settings(args: argparse.Namespace) -> Settings:
         raise InvalidInput(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise InvalidInput(f"config file {args.config} must contain a JSON object")
+    for key in config:  # another command's flag is read by that command alone
+        if key not in FLAGS:
+            raise InvalidInput(f'config key "{key}" names no flag')
     # A flag given on the command line, --config included, is not read here.
     defaults = {
         flag: _config_value(flag, config[flag])

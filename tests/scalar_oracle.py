@@ -2,7 +2,11 @@
 
 One encounter and one trial at a time, written straight from the encounter
 rules. ``montecarlo._run_block`` must count the same outcomes from the same
-streams (``test_montecarlo.py`` checks it).
+stream addresses (``test_montecarlo.py`` checks it).
+
+Every draw comes from ``stream.random()``, where a stream is one of the
+pure-Python spec ``tests/pcg64.py``'s: the oracle imports neither numpy nor
+any module of the package, so it shares no code with the kernel it checks.
 
 Every encounter consumes exactly one uniform draw from the supplied stream,
 including the deterministic defector-vs-defector case (the draw is discarded
@@ -11,25 +15,12 @@ random numbers when only the disposition assignment changes, which
 stabilizes paired comparisons across experiment variants.
 """
 
-import numpy as np
 
-from dispositions_sim.encounter import EncounterConfig, RngStream
-
-
-def uniform(rng: RngStream) -> float:
-    """The stream's next uniform draw in [0, 1), through a one-slot buffer."""
-    return float(rng.uniforms(np.empty(1))[0])
-
-
-def resolve_encounter(
-    a: str,
-    b: str,
-    cfg: EncounterConfig,
-    rng: RngStream,
-) -> tuple[str, str]:
+def resolve_encounter(a: str, b: str, cfg, stream) -> tuple[str, str]:
     """Resolve one encounter between dispositions A and B, each ``"cm"``
     (constrained) or ``"sm"`` (straightforward), to the outcomes (of a, of b):
-    the ``TrialReport.outcome_histogram`` keys.
+    the ``TrialReport.outcome_histogram`` keys. ``cfg.params`` holds the
+    recognition probabilities p and q.
 
     Cases:
       * both straightforward: mutual non-cooperation (one draw consumed
@@ -41,7 +32,7 @@ def resolve_encounter(
         the straightforward agent defects; every other sub-case collapses
         to mutual non-cooperation.
     """
-    draw = uniform(rng)
+    draw = stream.random()
     noncoop = "non_cooperation", "non_cooperation"
 
     if a == "sm" and b == "sm":
@@ -60,12 +51,7 @@ def resolve_encounter(
     return noncoop
 
 
-def run_trial(
-    cfg: EncounterConfig,
-    partner_rng: RngStream,
-    cm_rng: RngStream,
-    sm_rng: RngStream,
-) -> tuple[str, str]:
+def run_trial(cfg, partner_stream, cm_stream, sm_stream) -> tuple[str, str]:
     """Resolve one trial's two encounters, returning the focal outcomes.
 
     This is the scalar definition the vectorized blocks must agree with:
@@ -73,7 +59,7 @@ def run_trial(
     the focal agent constrained and again straightforward, on independent
     recognition streams.
     """
-    partner = "cm" if uniform(partner_rng) < cfg.params.r else "sm"
-    cm_outcome, _ = resolve_encounter("cm", partner, cfg, cm_rng)
-    sm_outcome, _ = resolve_encounter("sm", partner, cfg, sm_rng)
+    partner = "cm" if partner_stream.random() < cfg.params.r else "sm"
+    cm_outcome, _ = resolve_encounter("cm", partner, cfg, cm_stream)
+    sm_outcome, _ = resolve_encounter("sm", partner, cfg, sm_stream)
     return cm_outcome, sm_outcome

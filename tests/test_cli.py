@@ -460,6 +460,33 @@ class TestConfigFile:
         code, out, err = run_cli(["analytic", "--config", str(config)], capsys)
         assert (code, out, err) == (2, "", "error: missing required parameter --q\n")
 
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    def test_config_key_that_names_no_flag_exits_2(self, command, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**COMMAND_CONFIGS[command], "sead": 5}))
+        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        assert (code, out, err) == (2, "", 'error: config key "sead" names no flag\n')
+
+    @pytest.mark.parametrize(
+        "command, foreign",
+        [
+            ("analytic", {"n": 7, "seed": 3, "axis": ["p=0:1:2"], "r0": 0.2, "generations": 2}),
+            ("simulate", {"axis": ["p=0:1:2"], "r0": 0.2, "generations": 2}),
+            ("sweep", {"n": 7, "seed": 3, "r0": 0.2, "generations": 2}),
+            ("evolve", {"r": 0.2, "n": 7, "seed": 3, "axis": ["p=0:1:2"]}),
+        ],
+    )
+    def test_config_key_of_another_commands_flag_is_ignored(
+        self, command, foreign, tmp_path, capsys
+    ):
+        """One file serves all four commands: each reads its own flags only."""
+        own, shared = tmp_path / "own.json", tmp_path / "shared.json"
+        own.write_text(json.dumps(COMMAND_CONFIGS[command]))
+        shared.write_text(json.dumps({**COMMAND_CONFIGS[command], **foreign}))
+        from_shared = run_cli([command, "--config", str(shared)], capsys)
+        assert from_shared == run_cli([command, "--config", str(own)], capsys)
+        assert from_shared[0] == 0
+
     @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000, b'{"vnc": 0.5'])
     def test_unreadable_config_exits_2(self, content, tmp_path, capsys):
         config = tmp_path / "run.json"

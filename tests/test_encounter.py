@@ -1,5 +1,6 @@
-"""Behavior of single encounters, as the scalar oracle resolves them, and of
-the deterministic RNG stream."""
+"""Behavior of single encounters, as the scalar oracle resolves them on streams
+of the pure-Python spec, and of the deterministic RNG stream, checked against
+that spec."""
 
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.encounter import EncounterConfig, RngStream
 import pcg64
-from scalar_oracle import resolve_encounter, uniform
+from scalar_oracle import resolve_encounter
 
 SM = "sm"
 CM = "cm"
@@ -42,21 +43,30 @@ SPEC_SEEDS = [0, 1, 7, 42, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2*
               2**64, 2**70]
 
 
+def draws(stream, n):
+    """The next ``n`` draws of a spec stream."""
+    return [stream.random() for _ in range(n)]
+
+
+def one_draw(stream):
+    """An ``RngStream``'s next draw, through a one-slot buffer."""
+    return float(stream.uniforms(np.empty(1))[0])
+
+
 class TestRngStream:
     def test_same_address_reproduces_sequence(self):
         a = RngStream(123, 7)
         b = RngStream(123, 7)
-        assert [uniform(a) for _ in range(20)] == [uniform(b) for _ in range(20)]
+        assert [one_draw(a) for _ in range(20)] == [one_draw(b) for _ in range(20)]
 
     def test_distinct_stream_ids_differ(self):
         a = RngStream(123, 0)
         b = RngStream(123, 1)
-        assert [uniform(a) for _ in range(5)] != [uniform(b) for _ in range(5)]
+        assert [one_draw(a) for _ in range(5)] != [one_draw(b) for _ in range(5)]
 
     def test_batched_draws_match_scalar_draws(self):
-        scalar = RngStream(9, 3)
         batched = RngStream(9, 3)
-        singles = [uniform(scalar) for _ in range(64)]
+        singles = draws(pcg64.stream(9, 3), 64)
         # The draws fill the buffer given, a view such as out[:16] too, and
         # continue the stream; the rest of out is left untouched.
         out = np.full(48, -1.0)
@@ -69,12 +79,11 @@ class TestRngStream:
         assert batched.uniforms(out[:0]).tolist() == []
 
     def test_buffer_of_any_shape_gets_one_draw_per_entry(self):
-        scalar = RngStream(9, 3)
-        singles = [uniform(scalar) for _ in range(5)]
+        singles = draws(pcg64.stream(9, 3), 5)
         stream = RngStream(9, 3)
         grid = stream.uniforms(np.empty((2, 2)))
         assert grid.tolist() == [singles[0:2], singles[2:4]]
-        assert uniform(stream) == singles[4]
+        assert one_draw(stream) == singles[4]
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
@@ -99,65 +108,75 @@ class TestRngStream:
         pins are the pure-Python spec's draws too."""
         pinned = [float.fromhex(text) for text in first_draws]
         assert RngStream(seed, stream_id).uniforms(np.empty(3)).tolist() == pinned
-        spec = pcg64.stream(seed, stream_id)
-        assert [spec.random() for _ in range(3)] == pinned
+        assert draws(pcg64.stream(seed, stream_id), 3) == pinned
 
     @pytest.mark.parametrize("seed", SPEC_SEEDS)
     def test_stream_matches_the_pure_python_spec(self, seed):
         """Bit for bit, 50 draws of each stream: the first three of a block's streams
         and streams whose id takes more than one 32-bit word."""
         for stream_id in (0, 1, 2, 2**32 + 5):
-            draws = RngStream(seed, stream_id).uniforms(np.empty(50)).tolist()
-            spec = pcg64.stream(seed, stream_id)
-            assert [x.hex() for x in draws] == [spec.random().hex() for _ in range(50)], (
+            kernel = RngStream(seed, stream_id).uniforms(np.empty(50)).tolist()
+            spec = draws(pcg64.stream(seed, stream_id), 50)
+            assert [x.hex() for x in kernel] == [x.hex() for x in spec], (
                 f"seed {seed}, stream_id {stream_id}")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "SeedSequence([seed, stream_id]) concatenates each integer's 32-bit words, so "
+        "(1 + 3 * 2**32, 0) and (1, 3) alias (the FOUND: line on RngStream's entropy "
+        "in CHANGES.md); the change of address encoding that mends it removes this mark"))
+    def test_distinct_addresses_give_distinct_streams(self):
+        aliased = (1 + 3 * 2**32, 0), (1, 3)
+        kernel = [RngStream(*address).uniforms(np.empty(5)).tolist() for address in aliased]
+        assert kernel[0] != kernel[1]
+        spec = [draws(pcg64.stream(*address), 5) for address in aliased]
+        assert spec[0] != spec[1]
 
 
 class TestResolveEncounter:
     def test_sm_vs_sm_is_mutual_noncooperation(self):
         cfg = make_config(v_nc=0.5)
-        assert resolve_encounter(SM, SM, cfg, RngStream(0)) == (NONCOOP, NONCOOP)
+        assert resolve_encounter(SM, SM, cfg, pcg64.stream(0, 0)) == (NONCOOP, NONCOOP)
 
     def test_sm_vs_sm_consumes_one_draw(self):
         """The discarded draw keeps trial alignment stable across variants."""
         cfg = make_config()
-        stream = RngStream(42, 0)
+        stream = pcg64.stream(42, 0)
         resolve_encounter(SM, SM, cfg, stream)
-        reference = RngStream(42, 0)
-        uniform(reference)  # skip the draw the encounter consumed
-        assert uniform(stream) == uniform(reference)
+        reference = pcg64.stream(42, 0)
+        reference.random()  # skip the draw the encounter consumed
+        assert stream.random() == reference.random()
 
     def test_cm_vs_cm_certain_recognition_cooperates(self):
         cfg = make_config(p=1.0)
-        assert resolve_encounter(CM, CM, cfg, RngStream(1)) == (COOP, COOP)
+        assert resolve_encounter(CM, CM, cfg, pcg64.stream(1, 0)) == (COOP, COOP)
 
     def test_cm_vs_cm_impossible_recognition_noncooperates(self):
         cfg = make_config(p=0.0)
-        assert resolve_encounter(CM, CM, cfg, RngStream(1)) == (NONCOOP, NONCOOP)
+        assert resolve_encounter(CM, CM, cfg, pcg64.stream(1, 0)) == (NONCOOP, NONCOOP)
 
     def test_cm_vs_sm_certain_exploitation(self):
         """The constrained agent is exploited and the other defects."""
         cfg = make_config(q=1.0)
-        assert resolve_encounter(CM, SM, cfg, RngStream(2)) == (EXPLOITED, DEFECTED)
+        assert resolve_encounter(CM, SM, cfg, pcg64.stream(2, 0)) == (EXPLOITED, DEFECTED)
 
     def test_sm_vs_cm_mirrors_exploitation(self):
         cfg = make_config(q=1.0)
-        assert resolve_encounter(SM, CM, cfg, RngStream(2)) == (DEFECTED, EXPLOITED)
+        assert resolve_encounter(SM, CM, cfg, pcg64.stream(2, 0)) == (DEFECTED, EXPLOITED)
 
     def test_cm_vs_sm_without_exploitation_noncooperates(self):
         cfg = make_config(q=0.0)
-        assert resolve_encounter(CM, SM, cfg, RngStream(2)) == (NONCOOP, NONCOOP)
-        assert resolve_encounter(SM, CM, cfg, RngStream(2)) == (NONCOOP, NONCOOP)
+        assert resolve_encounter(CM, SM, cfg, pcg64.stream(2, 0)) == (NONCOOP, NONCOOP)
+        assert resolve_encounter(SM, CM, cfg, pcg64.stream(2, 0)) == (NONCOOP, NONCOOP)
 
     def test_identical_stream_state_gives_identical_outcomes(self):
         cfg = make_config()
         outcomes_a = [
             resolve_encounter(CM, CM, cfg, stream)
-            for stream in [RngStream(77, i) for i in range(10)]
+            for stream in [pcg64.stream(77, i) for i in range(10)]
         ]
         outcomes_b = [
             resolve_encounter(CM, CM, cfg, stream)
-            for stream in [RngStream(77, i) for i in range(10)]
+            for stream in [pcg64.stream(77, i) for i in range(10)]
         ]
         assert outcomes_a == outcomes_b
 
@@ -171,7 +190,7 @@ class TestResolveEncounter:
     def test_outcome_pair_consistency(self, seed, pairing, p, q):
         """Defection and exploitation come paired; other classes are shared."""
         cfg = make_config(p=p, q=q)
-        out_a, out_b = resolve_encounter(*pairing, cfg, RngStream(seed))
+        out_a, out_b = resolve_encounter(*pairing, cfg, pcg64.stream(seed, 0))
         for mine, theirs in ((out_a, out_b), (out_b, out_a)):
             assert mine in (NONCOOP, COOP, DEFECTED, EXPLOITED)
             if mine == DEFECTED:
@@ -186,7 +205,7 @@ class TestResolveEncounter:
         n = 100_000
         p = 0.8
         cfg = make_config(p=p)
-        stream = RngStream(2024, 0)
+        stream = pcg64.stream(2024, 0)
         coop = sum(
             resolve_encounter(CM, CM, cfg, stream) == (COOP, COOP)
             for _ in range(n)

@@ -20,12 +20,8 @@ from dispositions_sim.core import (
 )
 from dispositions_sim.encounter import EncounterConfig
 from dispositions_sim import montecarlo
-from dispositions_sim.montecarlo import (
-    InvalidTrialCount,
-    TrialReport,
-    block_streams,
-    estimate_eus,
-)
+from dispositions_sim.montecarlo import InvalidTrialCount, TrialReport, estimate_eus
+import pcg64
 from scalar_oracle import run_trial
 
 
@@ -36,19 +32,25 @@ def make_config(v_nc=0.5, v_c=0.75, p=0.8, q=0.1, r=0.5):
     )
 
 
+def spec_streams(seed: int, block_index: int) -> list:
+    """Block k's (partner, constrained-focal, straightforward-focal) streams,
+    addressed (seed, 3k + j) for j = 0, 1, 2, from the pure-Python spec."""
+    return [pcg64.stream(seed, 3 * block_index + j) for j in range(3)]
+
+
 def reference_report(cfg: EncounterConfig, n_trials: int, seed: int) -> TrialReport:
     """Trial-by-trial estimator over ``scalar_oracle.run_trial``, the check on
-    the vectorized block kernel. Partitions trials into the same blocks and
-    streams as estimate_eus."""
+    the vectorized block kernel. Partitions trials into the same blocks as
+    estimate_eus and draws each block from the spec streams of its addresses."""
     cm_counts: Counter = Counter()
     sm_counts: Counter = Counter()
     start = 0
     block_index = 0
     while start < n_trials:
         trials = min(montecarlo.BLOCK_TRIALS, n_trials - start)
-        partner_rng, cm_rng, sm_rng = block_streams(seed, block_index)
+        streams = spec_streams(seed, block_index)
         for _ in range(trials):
-            kind_cm, kind_sm = run_trial(cfg, partner_rng, cm_rng, sm_rng)
+            kind_cm, kind_sm = run_trial(cfg, *streams)
             cm_counts[kind_cm] += 1
             sm_counts[kind_sm] += 1
         start += trials
@@ -146,7 +148,7 @@ class TestScalarEquivalence:
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 4096)
         cfg = make_config(v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
         for block_index, trials in enumerate((4096, 2731)):
-            streams = block_streams(13, block_index)
+            streams = spec_streams(13, block_index)
             outcomes = Counter(run_trial(cfg, *streams) for _ in range(trials))
             for stale_mask in (True, False):
                 row = np.zeros(montecarlo.BLOCK_TRIALS)
