@@ -1,8 +1,9 @@
 """Peak resident memory of one CLI run in a fresh interpreter.
 
-A run's VmHWM is read from procfs after its output is flushed, so a test
-can bound how a command's memory grows with its input by comparing two
-runs that differ only in size.
+The child starts the package as ``python -m dispositions_sim`` does, so the
+run is the shipped process, collector settings included. Its VmHWM is read
+from procfs as it exits, so a test can bound how a command's memory grows
+with its input by comparing two runs that differ only in size.
 """
 
 import subprocess
@@ -12,13 +13,13 @@ from pathlib import Path
 import pytest
 
 _PEAK_RSS_CHILD = """
-import sys
-from dispositions_sim.cli import main
-code = main(sys.argv[1:])
-sys.stdout.flush()
-with open("/proc/self/status") as status:
-    peak = next(line for line in status if line.startswith("VmHWM:"))
-print(code, peak.split()[1], file=sys.stderr)
+import runpy, sys
+try:
+    runpy.run_module("dispositions_sim", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status:
+        peak = next(line for line in status if line.startswith("VmHWM:"))
+    print(peak.split()[1], file=sys.stderr)
 """
 
 needs_procfs = pytest.mark.skipif(
@@ -34,6 +35,5 @@ def peak_rss_kib(argv, expected_code):
         stderr=subprocess.PIPE,
         text=True,
     )
-    code, peak_kib = result.stderr.splitlines()[-1].split()
-    assert code == str(expected_code), result.stderr
-    return int(peak_kib)
+    assert result.returncode == expected_code, result.stderr
+    return int(result.stderr.splitlines()[-1])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from dispositions_sim import cli
 from dispositions_sim.cli import main
+from dispositions_sim.montecarlo import BLOCK_TRIALS
 from dispositions_sim.sweep import SWEEP_HEADER
 from peak_rss import needs_procfs, peak_rss_kib
 
@@ -650,6 +651,70 @@ def test_stdout_matches_pinned_md5(name, capsys, monkeypatch):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="the fork warning is new in 3.12")
+def test_sweep_process_forks_its_workers_without_a_warning():
+    """Python warns when a process with a second thread alive forks; the CLI
+    process has no second thread when it forks its sweep workers."""
+    argv, _, digest = MD5_PINS["sweep_grid"]
+    result = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "dispositions_sim", *argv],
+        capture_output=True, env=dict(os.environ, DISPOSITIONS_SIM_THREADS="2"),
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.md5(result.stdout).hexdigest() == digest
+
+
+# Calls cli.main with the collector off, as the process entry does, on each argv
+# of the JSON list in its first argument; after each call it prints on stderr
+# the exit code and the count of unreachable objects gc.collect() finds.
+COLLECTOR_OFF_CLI = """
+import gc, json, sys
+gc.disable()
+from dispositions_sim.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(code, gc.collect(), file=sys.stderr)
+"""
+
+
+def _sweep_rows(p_count, r_count):
+    return ["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
+            "--axis", f"p=0:1:{p_count}", "--axis", f"r=0:1:{r_count}"]
+
+
+def _simulate_blocks(blocks):
+    return ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", str(BLOCK_TRIALS * blocks)]
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (_sweep_rows(100, 100), _sweep_rows(400, 500)),  # 10^4 and 2 x 10^5 rows
+        ([*EVOLVE_NEVER_CONVERGES, "--generations", "1000"],
+         [*EVOLVE_NEVER_CONVERGES, "--generations", "100000"]),
+        (_simulate_blocks(1), _simulate_blocks(30)),
+    ],
+    ids=["sweep", "evolve", "simulate"],
+)
+def test_collector_off_garbage_does_not_grow_with_size(small, large):
+    """A CLI process runs with the cyclic collector off, so a command that left
+    reference cycles per row, generation or block would grow without bound.
+    After a warm-up ``simulate``, which imports numpy.random, what a call leaves
+    for the collector is the same at a small and a large size."""
+    result = subprocess.run(
+        [sys.executable, "-c", COLLECTOR_OFF_CLI,
+         json.dumps([_simulate_blocks(1), small, large])],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, DISPOSITIONS_SIM_THREADS="2"),
+    )
+    assert result.returncode == 0, result.stderr
+    _, (small_code, small_found), (large_code, large_found) = (
+        line.split() for line in result.stderr.splitlines()
+    )
+    assert (small_code, large_code) == ("0", "0"), result.stderr
+    assert small_found == large_found, result.stderr
 
 
 # Runs the CLI on the remaining arguments, as ``python -m dispositions_sim`` does.

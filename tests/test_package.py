@@ -96,6 +96,31 @@ def test_package_version_matches_pyproject():
     assert dispositions_sim.__version__ == declared.group(1)
 
 
+# --- the process entry --------------------------------------------------------
+
+# Runs the package as ``python -m`` does, with ``cli.main`` replaced by a stub that
+# prints whether the collector is on and returns 3; then prints whether the heap
+# was frozen by the time the run ended.
+ENTRY_SPY = """\
+import gc, runpy
+from dispositions_sim import cli
+cli.main = lambda: print(gc.isenabled()) or 3
+try:
+    runpy.run_module('dispositions_sim', run_name='__main__', alter_sys=True)
+finally:
+    print(gc.get_freeze_count() > 0)
+"""
+
+
+def test_console_script_and_python_m_start_in_one_run():
+    """The installed script's target is the ``run`` that ``python -m`` calls,
+    which calls ``cli.main`` with the collector off and freezes the heap after."""
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)\n\n", PYPROJECT.read_text(), re.M | re.S)
+    assert scripts is not None
+    assert scripts.group(1) == 'dispositions-sim = "dispositions_sim.__main__:run"'
+    assert run_python(ENTRY_SPY, block_numpy=False) == (3, "False\nTrue\n", "")
+
+
 # --- numpy-free paths ---------------------------------------------------------
 
 
