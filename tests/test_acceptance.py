@@ -4,13 +4,12 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; a plain ``pytest`` run still enforces every criterion.
 """
 
-import subprocess
-import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import cli_process
 from dispositions_sim.analytic import (
     argument1_eus,
     argument2_eus,
@@ -166,19 +165,6 @@ def test_criterion_7_replicator_sanity():
         assert all(a < b for a, b in zip(shares, shares[1:]))
 
 
-def _cli_bytes(argv, threads):
-    import os
-
-    env = dict(os.environ, DISPOSITIONS_SIM_THREADS=threads)
-    result = subprocess.run(
-        [sys.executable, "-m", "dispositions_sim", *argv],
-        capture_output=True,
-        env=env,
-    )
-    assert result.returncode == 0, result.stderr.decode()
-    return result.stdout
-
-
 def test_criterion_8_cli_determinism():
     """simulate and sweep are byte-identical across runs and thread counts."""
     with criterion("8 CLI determinism"):
@@ -186,12 +172,13 @@ def test_criterion_8_cli_determinism():
             "simulate", "--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1",
             "--r", "0.5", "--n", "200000", "--seed", "42",
         ]
-        outputs = {_cli_bytes(simulate, threads) for threads in ("0", "1", "4")}
-        assert len(outputs) == 1, "simulate output varies with thread count"
-
+        # 16384 rows, four spans of 4096: four threads fork three sweep workers.
         sweep = [
             "sweep", "--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1",
-            "--axis", "r=0.05:0.95:19",
+            "--axis", "r=0:1:16384",
         ]
-        outputs = {_cli_bytes(sweep, threads) for threads in ("0", "1", "4")}
-        assert len(outputs) == 1, "sweep output varies with thread count"
+        for argv in (simulate, sweep):
+            outputs = {cli_process.run(argv, threads) for threads in ("0", "1", "4")}
+            assert len(outputs) == 1, f"{argv[0]} output varies with thread count"
+            ((code, _, err),) = outputs
+            assert code == 0, err.decode()

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import tempfile
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cli_process
 from dispositions_sim import cli
 from dispositions_sim.cli import main
 from dispositions_sim.montecarlo import BLOCK_TRIALS
@@ -53,26 +53,6 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_cli_process(argv, env_threads=None):
-    """Run the CLI in a subprocess; its ``CompletedProcess``, output as bytes."""
-    env = dict(os.environ)
-    if env_threads is not None:
-        env["DISPOSITIONS_SIM_THREADS"] = env_threads
-    else:
-        env.pop("DISPOSITIONS_SIM_THREADS", None)
-    return subprocess.run(
-        [sys.executable, "-m", "dispositions_sim", *argv],
-        capture_output=True,
-        env=env,
-    )
-
-
-def run_cli_bytes(argv, env_threads=None):
-    """Run the CLI in a subprocess and return (exit code, raw stdout bytes)."""
-    result = run_cli_process(argv, env_threads)
-    return result.returncode, result.stdout
 
 
 class TestAnalyticCommand:
@@ -570,19 +550,12 @@ class TestBrokenPipe:
     def test_reader_closing_early_exits_0_quietly(self):
         # About 3 MB of CSV: far more than a pipe buffers, so the writer
         # is still writing when the reader goes away.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "dispositions_sim", "sweep", *REFERENCE_FLAGS,
-             "--axis", "r=0:1:20000"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
+        proc = cli_process.start(["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:20000"])
         header = proc.stdout.readline()
         proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        code = proc.wait(timeout=60)
+        _, err = cli_process.finish(proc)
         assert header == (SWEEP_HEADER + "\n").encode()
-        assert (code, err) == (0, b"")
+        assert (proc.returncode, err) == (0, b"")
 
 
 def test_unexpected_exception_exits_1_with_one_internal_error_line(monkeypatch, capsys):
@@ -600,18 +573,21 @@ class TestDeterminism:
     def test_simulate_byte_identical_across_runs_and_thread_counts(self):
         argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "200000",
                 "--seed", "42"]
-        runs = {threads: run_cli_process(argv, env_threads=threads)
-                for threads in (None, "1", "4")}
-        for threads, run in runs.items():
+        runs = {threads: cli_process.run(argv, threads) for threads in (None, "1", "4")}
+        for threads, (code, out, err) in runs.items():
             setting = f"DISPOSITIONS_SIM_THREADS={threads or '(unset)'}"
-            assert run.returncode == 0, f"{setting}: exit {run.returncode}, stderr {run.stderr!r}"
-            assert run.stdout == runs[None].stdout, f"{setting}: stdout differs from unset's"
-        assert b"\r" not in runs[None].stdout  # LF line endings only
+            assert code == 0, f"{setting}: exit {code}, stderr {err!r}"
+            assert out == runs[None][1], f"{setting}: stdout differs from unset's"
+        assert b"\r" not in runs[None][1]  # LF line endings only
 
     def test_sweep_byte_identical_across_runs(self):
-        argv = ["sweep", *REFERENCE_FLAGS, "--axis", "r=0.05:0.95:19"]
-        first = run_cli_bytes(argv, env_threads="1")
-        second = run_cli_bytes(argv, env_threads="8")
+        """Four q values, each with a span of ROWS_PER_WRITE rows and one of a single
+        row: eight threads asked for give four processes of two spans each, which
+        the CLI process relays in row order."""
+        argv = ["sweep", "--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--axis", "q=0:1:4",
+                "--axis", f"r=0:1:{cli.ROWS_PER_WRITE + 1}"]
+        first = cli_process.run(argv, "1")
+        second = cli_process.run(argv, "8")
         assert first == second
 
 
@@ -717,45 +693,11 @@ def test_collector_off_garbage_does_not_grow_with_size(small, large):
     assert small_found == large_found, result.stderr
 
 
-# Runs the CLI on the remaining arguments, as ``python -m dispositions_sim`` does.
-# {patch} stands for code run before the CLI.
-FORKING_CLI = (
-    "import os, sys\n"
-    "{patch}\n"
-    "from dispositions_sim.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
-)
 # A sweep whose inner axis holds more than one span: each p value gets two spans of
 # 4096 rows and a partial one of 1808, 30 000 rows in 9 spans.
 SWEEP_PARTIAL_SPANS = (["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1",
                         "--axis", "p=0:1:3", "--axis", "r=0:1:10000"],
                        "7bfe6fc21aaedf553ecac4e2f99b0392")
-
-
-def run_forking_cli(argv, threads, patch=""):
-    """Start FORKING_CLI on ``argv`` under DISPOSITIONS_SIM_THREADS=``threads`` (unset
-    if None), as the leader of a new session, so that its process group holds every
-    worker it forks."""
-    env = dict(os.environ, DISPOSITIONS_SIM_THREADS=threads)
-    if threads is None:
-        del env["DISPOSITIONS_SIM_THREADS"]
-    return subprocess.Popen([sys.executable, "-c", FORKING_CLI.format(patch=patch), *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-                            start_new_session=True)
-
-
-def finish(proc):
-    """``proc``'s (stdout, stderr), read until every holder of its pipes, each worker
-    too, has exited; then no process of its group is left. A run still going after
-    60 s is killed with its workers, and fails the test."""
-    try:
-        out, err = proc.communicate(timeout=60)
-    except BaseException:
-        os.killpg(proc.pid, signal.SIGKILL)
-        raise
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
-    return out, err
 
 
 class TestSweepWorkers:
@@ -767,18 +709,16 @@ class TestSweepWorkers:
     )
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_stdout_is_byte_identical_for_every_worker_count(self, argv, digest, threads):
-        proc = run_forking_cli(argv, threads)
-        out, err = finish(proc)
-        assert (proc.returncode, err) == (0, b"")
+        code, out, err = cli_process.run(argv, threads)
+        assert (code, err) == (0, b"")
         assert hashlib.md5(out).hexdigest() == digest
 
     def test_without_fork_one_process_writes_the_same_bytes(self):
         """Where ``os`` has no ``fork`` (Windows), the grid that three workers would
         share under DISPOSITIONS_SIM_THREADS=3 is built by the CLI process alone."""
         argv, _, digest = MD5_PINS["sweep_grid"]
-        proc = run_forking_cli(argv, "3", "del os.fork")
-        out, err = finish(proc)
-        assert (proc.returncode, err) == (0, b"")
+        code, out, err = cli_process.run(argv, "3", "del os.fork")
+        assert (code, err) == (0, b"")
         assert hashlib.md5(out).hexdigest() == digest
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
@@ -788,31 +728,30 @@ class TestSweepWorkers:
         sweep is the CLI process alone; a count given is obeyed as it stands. The run
         reports on stderr how often it called ``os.fork``; its workers exit with
         ``os._exit``, which skips that report."""
-        patch = ("import atexit\n"
+        prelude = ("import atexit\n"
                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                  "forks, fork = [], os.fork\n"
                  "os.fork = lambda: forks.append(None) or fork()\n"
                  "atexit.register(lambda: sys.stderr.write(f'{len(forks)} forks\\n'))")
         argv, _, digest = MD5_PINS["sweep_grid"]
-        proc = run_forking_cli(argv, threads, patch)
-        out, err = finish(proc)
-        assert (proc.returncode, err) == (0, f"{forks} forks\n".encode())
+        code, out, err = cli_process.run(argv, threads, prelude)
+        assert (code, err) == (0, f"{forks} forks\n".encode())
         assert hashlib.md5(out).hexdigest() == digest
 
     def test_reader_closing_early_exits_0_and_leaves_no_process(self):
         """Each worker blocked on its pipe sees the pipe close and exits; the CLI
         process waits for every one of them before it exits itself."""
-        proc = run_forking_cli(["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:100000"], "3")
+        proc = cli_process.start(["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:100000"], "3")
         header = proc.stdout.readline()
         proc.stdout.close()
-        _, err = finish(proc)
+        _, err = cli_process.finish(proc)
         assert header == (SWEEP_HEADER + "\n").encode()
         assert (proc.returncode, err) == (0, b"")
 
     def test_failing_worker_fails_the_run_with_one_line(self):
         """A forked worker whose formula raises ends the run with exit 1 and one
         stderr line, after no more than the spans before its first one."""
-        patch = ("from dispositions_sim import sweep\n"
+        prelude = ("from dispositions_sim import sweep\n"
                  "parent, eu_cm = os.getpid(), sweep._eu_cm\n"
                  "def failing(*args):\n"
                  "    if os.getpid() != parent:\n"
@@ -820,10 +759,9 @@ class TestSweepWorkers:
                  "    return eu_cm(*args)\n"
                  "sweep._eu_cm = failing")
         argv, _ = SWEEP_PARTIAL_SPANS
-        proc = run_forking_cli(argv, "3", patch)
-        out, err = finish(proc)
-        _, full = run_cli_bytes(argv, env_threads="1")
-        assert proc.returncode == 1
+        code, out, err = cli_process.run(argv, "3", prelude)
+        _, full, _ = cli_process.run(argv, "1")
+        assert code == 1
         assert err.startswith(b"internal error: ") and err.count(b"\n") == 1
         assert full.startswith(out) and len(out) < len(full)
 
@@ -831,16 +769,15 @@ class TestSweepWorkers:
     def run_refusing(call, refused, error):
         """Run the partial-span sweep under DISPOSITIONS_SIM_THREADS=3, with the
         ``refused``-th call to ``os.<call>`` raising ``error``; its (stdout, stderr)."""
-        patch = (f"calls, original = [], os.{call}\n"
+        prelude = (f"calls, original = [], os.{call}\n"
                  "def refusing():\n"
                  "    calls.append(None)\n"
                  f"    if len(calls) == {refused}:\n"
                  f"        raise {error}\n"
                  "    return original()\n"
                  f"os.{call} = refusing")
-        proc = run_forking_cli(SWEEP_PARTIAL_SPANS[0], "3", patch)
-        out, err = finish(proc)
-        assert proc.returncode == 2
+        code, out, err = cli_process.run(SWEEP_PARTIAL_SPANS[0], "3", prelude)
+        assert code == 2
         return out, err
 
     @pytest.mark.parametrize("refused", [1, 2])

@@ -2,11 +2,14 @@
 agreement with the closed forms it exists to check."""
 
 import contextlib
+import gc
+import math
 import os
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +137,33 @@ class TestScalarEquivalence:
         # Summed block counts reach callers (and json.dumps) as Python ints.
         assert {type(count) for count in report.outcome_histogram.values()} == {int}
         assert report.mean_payoff_cm == pytest.approx(reference.mean_payoff_cm, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, stream",
+        [("r", 0), ("p", 1), ("q", 2), ("q", 1)],
+        ids=["partner-r", "cm-focal-p", "sm-focal-q", "cm-exploited-q"],
+    )
+    def test_a_draw_equal_to_its_threshold_is_not_below_it(self, name, stream):
+        """Each of the kernel's four compares is strict, as the scalar oracle's: a
+        draw equal to r, p or q is not below it. The probability ``name`` is set to
+        the block's own draw from ``stream`` (0 partner, 1 constrained focal, 2
+        straightforward focal) at the first trial where that compare decides the
+        outcome: the trial ends otherwise with a threshold one ulp above the draw."""
+        trials, seed = 1000, 97
+        draws = [[s.random() for _ in range(trials)] for s in spec_streams(seed, 0)]
+
+        def config(value):
+            values = {"p": 0.6, "q": 0.3, "r": 0.45, name: value}
+            return make_config(v_nc=0.37, v_c=0.81, **values)
+
+        def outcome(value, t):
+            streams = (SimpleNamespace(random=lambda u=row[t]: u) for row in draws)
+            return run_trial(config(value), *streams)
+
+        tie = next(config(u) for t, u in enumerate(draws[stream])
+                   if outcome(u, t) != outcome(math.nextafter(u, 1.0), t))
+        report = estimate_eus(tie, trials, seed=seed)
+        assert report.outcome_histogram == reference_report(tie, trials, seed).outcome_histogram
 
     @pytest.mark.parametrize(
         "changes", SCALAR_EQUIVALENCE_POINTS.values(), ids=SCALAR_EQUIVALENCE_POINTS.keys()
@@ -463,8 +493,12 @@ class TestDriver:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_the_block_count(self, monkeypatch, workers):
+        """Each block's ``block_streams`` tuple, built from a generator, is resized
+        and freed to CPython's 3-tuple free list, which a full collection empties
+        and which holds at most 2000. A 4000-block warm-up fills it, so the peak of
+        the 1000-block call does not depend on what ran before."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
-        assert traced_peak(1000 * 64, workers) < 64 * 1024
+        assert traced_peak(1000 * 64, workers, warm_up_trials=4000 * 64) < 64 * 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_working_set_is_one_draw_row_per_worker(self, workers):
@@ -488,17 +522,24 @@ class TestDriver:
         assert peak < 16 * 1024
 
 
-def traced_peak(n_trials: int, workers: int) -> int:
-    """The ``tracemalloc`` peak of one ``estimate_eus`` call, in bytes, after
-    an untraced warm-up call."""
+def traced_peak(n_trials: int, workers: int, warm_up_trials: int | None = None) -> int:
+    """The ``tracemalloc`` peak of one ``estimate_eus`` call, in bytes, after an
+    untraced warm-up call of ``warm_up_trials`` (``n_trials`` if None). The collector
+    is off for both, so no full collection empties the free lists the warm-up filled."""
     cfg = make_config()
-    estimate_eus(cfg, n_trials, seed=0, workers=workers)
-    tracemalloc.start()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        estimate_eus(cfg, n_trials, seed=1, workers=workers)
-        return tracemalloc.get_traced_memory()[1]
+        estimate_eus(cfg, warm_up_trials or n_trials, seed=0, workers=workers)
+        tracemalloc.start()
+        try:
+            estimate_eus(cfg, n_trials, seed=1, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        if enabled:
+            gc.enable()
 
 
 class TestOracleAgreement:
