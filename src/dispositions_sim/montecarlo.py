@@ -65,7 +65,8 @@ class TrialReport(_Record, namedtuple("TrialReport", "n_trials mean_payoff_cm me
 
 def block_streams(seed: int, block_index: int) -> tuple[RngStream, RngStream, RngStream]:
     """The (partner, constrained-focal, straightforward-focal) streams of a block."""
-    return tuple(RngStream(seed, 3 * block_index + j) for j in range(3))
+    k = 3 * block_index
+    return RngStream(seed, k), RngStream(seed, k + 1), RngStream(seed, k + 2)
 
 
 def _run_block(

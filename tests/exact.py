@@ -33,6 +33,34 @@ def lottery_eu(branches):
     return float(total)
 
 
+def eu_cm(v_noncoop, v_coop, p, q, r):
+    """The constrained disposition's exact EU, the mean of its outcome lottery:
+    a constrained partner (r) recognised (p) cooperates, a straightforward one
+    (1 - r) unrecognised (q) exploits it for 0, and otherwise both defect."""
+    v_nc, v_c, p, q, r = map(Fraction, (v_noncoop, v_coop, p, q, r))
+    return r * (p * v_c + (1 - p) * v_nc) + (1 - r) * (1 - q) * v_nc
+
+
+def eu_sm(v_noncoop, q, r):
+    """The straightforward disposition's exact EU: it exploits a constrained
+    partner (r) that fails to see through it (q) for 1, and otherwise both defect."""
+    v_nc, q, r = map(Fraction, (v_noncoop, q, r))
+    return r * (q + (1 - q) * v_nc) + (1 - r) * v_nc
+
+
+def critical_ratio(v_noncoop, v_coop, r):
+    """The exact p/q at which the margin at r > 0 is zero: a larger p/q makes it
+    positive."""
+    v_nc, v_c, r = map(Fraction, (v_noncoop, v_coop, r))
+    return (v_nc + r * (1 - 2 * v_nc)) / (r * (v_c - v_nc))
+
+
+def next_share(v_noncoop, v_coop, p, q, r):
+    """The exact share of constrained maximizers one replicator generation after r."""
+    cm, sm, r = eu_cm(v_noncoop, v_coop, p, q, r), eu_sm(v_noncoop, q, r), Fraction(r)
+    return r * cm / (r * cm + (1 - r) * sm)
+
+
 def margin_line(v_noncoop, v_coop, p, q):
     """``(a, s)``: the exact margin is ``a + s*r``."""
     v_nc, v_c, p, q = map(Fraction, (v_noncoop, v_coop, p, q))

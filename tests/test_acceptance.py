@@ -26,9 +26,9 @@ from dispositions_sim.core import (
 from dispositions_sim.dynamics import evolve
 from dispositions_sim.encounter import EncounterConfig
 from dispositions_sim.montecarlo import estimate_eus
+from reference import REFERENCE_FLAGS, reference_config
 
-REFERENCE_PAY = TranslucentPayoffs(0.5, 0.75)
-REFERENCE_PARAMS = TranslucencyParams(p=0.8, q=0.1, r=0.5)
+REFERENCE_PAY, REFERENCE_PARAMS = reference_config()
 
 
 @contextmanager
@@ -168,15 +168,9 @@ def test_criterion_7_replicator_sanity():
 def test_criterion_8_cli_determinism():
     """simulate and sweep are byte-identical across runs and thread counts."""
     with criterion("8 CLI determinism"):
-        simulate = [
-            "simulate", "--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1",
-            "--r", "0.5", "--n", "200000", "--seed", "42",
-        ]
+        simulate = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "200000", "--seed", "42"]
         # 16384 rows, four spans of 4096: four threads fork three sweep workers.
-        sweep = [
-            "sweep", "--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1",
-            "--axis", "r=0:1:16384",
-        ]
+        sweep = ["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:16384"]
         for argv in (simulate, sweep):
             outputs = {cli_process.run(argv, threads) for threads in ("0", "1", "4")}
             assert len(outputs) == 1, f"{argv[0]} output varies with thread count"

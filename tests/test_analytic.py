@@ -29,9 +29,11 @@ from dispositions_sim.core import (
     TranslucentPayoffs,
     TransparentPayoffs,
 )
-from exact import lottery_eu
+import exact
+from reference import REFERENCE_DECIMALS
 
 ANALYTIC_TOL = 1e-12
+HALF = Fraction(1, 2)
 
 
 @st.composite
@@ -53,8 +55,8 @@ class TestArgument1:
     def test_example_against_lottery_oracle(self):
         """SM gets p*u_temptation + (1-p)*u, CM gets p*u_coop + (1-p)*u."""
         pay = TransparentPayoffs(0.2, 0.6, 0.9)
-        expected_sm = lottery_eu([(Fraction(1, 2), Fraction("0.9")), (Fraction(1, 2), Fraction("0.2"))])
-        expected_cm = lottery_eu([(Fraction(1, 2), Fraction("0.6")), (Fraction(1, 2), Fraction("0.2"))])
+        expected_sm = exact.lottery_eu([(HALF, Fraction("0.9")), (HALF, Fraction("0.2"))])
+        expected_cm = exact.lottery_eu([(HALF, Fraction("0.6")), (HALF, Fraction("0.2"))])
         assert expected_sm == 0.55 and expected_cm == 0.40
         result = argument1_eus(pay, 0.5)
         assert result.eu_sm == pytest.approx(0.55, abs=ANALYTIC_TOL)
@@ -81,7 +83,7 @@ class TestArgument1:
 class TestArgument2:
     def test_example_against_lottery_oracle(self):
         pay = TransparentPayoffs(0.2, 0.6, 0.9)
-        expected_cm = lottery_eu([(Fraction(1, 2), Fraction("0.6")), (Fraction(1, 2), Fraction("0.2"))])
+        expected_cm = exact.lottery_eu([(HALF, Fraction("0.6")), (HALF, Fraction("0.2"))])
         assert expected_cm == 0.40
         result = argument2_eus(pay, 0.5)
         assert result.eu_sm == pytest.approx(0.20, abs=ANALYTIC_TOL)
@@ -143,19 +145,14 @@ class TestTransparentCorners:
 class TestTranslucentEus:
     def test_cm_example_against_rational_oracle(self):
         """v_nc + r*p*(v_c - v_nc) - (1-r)*q*v_nc at the reference point."""
-        exact = (
-            Fraction(1, 2)
-            + Fraction(1, 2) * Fraction(4, 5) * Fraction(1, 4)
-            - Fraction(1, 2) * Fraction(1, 10) * Fraction(1, 2)
-        )
-        assert exact == Fraction(23, 40) == Fraction("0.575")
+        assert exact.eu_cm(*REFERENCE_DECIMALS) == Fraction(23, 40) == Fraction("0.575")
         pay = TranslucentPayoffs(0.5, 0.75)
         t = TranslucencyParams(p=0.8, q=0.1, r=0.5)
         assert translucent_eu_cm(pay, t) == pytest.approx(0.575, abs=ANALYTIC_TOL)
 
     def test_sm_example_against_rational_oracle(self):
-        exact = Fraction(1, 2) + Fraction(1, 2) * Fraction(1, 10) * Fraction(1, 2)
-        assert exact == Fraction(21, 40) == Fraction("0.525")
+        v_nc, _, _, q, r = REFERENCE_DECIMALS
+        assert exact.eu_sm(v_nc, q, r) == Fraction(21, 40) == Fraction("0.525")
         pay = TranslucentPayoffs(0.5, 0.75)
         t = TranslucencyParams(p=0.8, q=0.1, r=0.5)
         assert translucent_eu_sm(pay, t) == pytest.approx(0.525, abs=ANALYTIC_TOL)
@@ -187,10 +184,7 @@ class TestTranslucentEus:
 
 class TestCriticalRatio:
     def test_reference_value_against_rational_oracle(self):
-        exact = Fraction(1, 2) / Fraction(1, 4) + (
-            Fraction(1, 2) * Fraction(1, 2)
-        ) / (Fraction(1, 2) * Fraction(1, 4))
-        assert exact == 4
+        assert exact.critical_ratio(0.5, 0.75, 0.5) == 4
         pay = TranslucentPayoffs(0.5, 0.75)
         assert critical_ratio(pay, 0.5) == pytest.approx(4.0, abs=ANALYTIC_TOL)
 
@@ -225,15 +219,11 @@ class TestCmRational:
         assert t.p / t.q > critical_ratio(pay, t.r)
 
     def test_boundary_tie_is_not_rational(self):
-        """p/q equal to the critical ratio leaves a zero margin: a tie."""
+        """p/q equal to the critical ratio leaves a zero margin: a tie. The doubles
+        0.4 and 0.1 give p = 4q exactly, so the exact margin at them is 0."""
         pay = TranslucentPayoffs(0.5, 0.75)
         t = TranslucencyParams(p=0.4, q=0.1, r=0.5)
-        exact_margin = (
-            Fraction(1, 2) * Fraction(2, 5) * Fraction(1, 4)
-            - Fraction(1, 2) * Fraction(1, 10) * Fraction(1, 2)
-            - Fraction(1, 2) * Fraction(1, 10) * Fraction(1, 2)
-        )
-        assert exact_margin == 0
+        assert exact.margin(*pay, *t) == 0
         result = cm_rational(pay, t)
         assert abs(result.margin) <= ANALYTIC_TOL
         assert not result.cm_is_rational

@@ -2,7 +2,6 @@
 
 import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -22,8 +21,7 @@ from dispositions_sim.cli import main
 from dispositions_sim.montecarlo import BLOCK_TRIALS
 from dispositions_sim.sweep import SWEEP_HEADER
 from peak_rss import needs_procfs, peak_rss_kib
-
-REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
+from reference import README_ANALYTIC, README_SWEEP, REFERENCE_FLAGS, run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,15 +47,9 @@ COMMAND_CONFIGS = {
 }
 
 
-def run_cli(argv, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestAnalyticCommand:
-    def test_reference_point(self, capsys):
-        code, out, _ = run_cli(["analytic", *REFERENCE_FLAGS, "--r", "0.5"], capsys)
+    def test_reference_point(self):
+        code, out, _ = run_main(["analytic", *REFERENCE_FLAGS, "--r", "0.5"])
         assert code == 0
         record = json.loads(out)
         assert record["eu_cm"] == pytest.approx(0.575, abs=1e-12)
@@ -65,49 +57,28 @@ class TestAnalyticCommand:
         assert record["critical_ratio"] == pytest.approx(4.0, abs=1e-12)
         assert record["cm_rational"] is True
 
-    def test_golden_output(self, capsys):
-        _, out, _ = run_cli(["analytic", *REFERENCE_FLAGS, "--r", "0.5"], capsys)
-        assert out == (
-            '{"eu_cm": 0.575, "eu_sm": 0.525, "margin": 0.04999999999999993, '
-            '"critical_ratio": 4.0, "cm_rational": true}\n'
-        )
+    def test_golden_output(self):
+        _, out, _ = run_main(["analytic", *REFERENCE_FLAGS, "--r", "0.5"])
+        assert out == README_ANALYTIC
 
-    def test_invalid_ordering_exits_2(self, capsys):
-        code, out, err = run_cli(
-            ["analytic", "--vnc", "0.7", "--vc", "0.6", "--p", "0.8", "--q", "0.1", "--r", "0.5"],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert "OrderingViolation" in err
-
-    def test_no_recognition_collapse(self, capsys):
-        code, out, _ = run_cli(
-            ["analytic", "--vnc", "0.5", "--vc", "0.75", "--p", "0", "--q", "0", "--r", "0.3"],
-            capsys,
-        )
+    def test_no_recognition_collapse(self):
+        code, out, _ = run_main(
+            ["analytic", "--vnc", "0.5", "--vc", "0.75", "--p", "0", "--q", "0", "--r", "0.3"])
         assert code == 0
         record = json.loads(out)
         assert record["eu_cm"] == record["eu_sm"] == 0.5
         assert record["cm_rational"] is False
 
-    def test_infinite_critical_ratio_serialized_as_inf_string(self, capsys):
-        _, out, _ = run_cli(["analytic", *REFERENCE_FLAGS, "--r", "0"], capsys)
+    def test_infinite_critical_ratio_serialized_as_inf_string(self):
+        _, out, _ = run_main(["analytic", *REFERENCE_FLAGS, "--r", "0"])
         record = json.loads(out)  # stays valid JSON
         assert record["critical_ratio"] == "inf"
 
-    def test_missing_parameter_exits_2(self, capsys):
-        code, _, err = run_cli(["analytic", "--vnc", "0.5", "--vc", "0.75"], capsys)
-        assert code == 2
-        assert "--p" in err
-
 
 class TestSimulateCommand:
-    def test_report_includes_analytic_values_and_deviations(self, capsys):
-        code, out, _ = run_cli(
-            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "20000", "--seed", "42"],
-            capsys,
-        )
+    def test_report_includes_analytic_values_and_deviations(self):
+        code, out, _ = run_main(
+            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "20000", "--seed", "42"])
         assert code == 0
         record = json.loads(out)
         assert record["analytic_eu_cm"] == pytest.approx(0.575, abs=1e-12)
@@ -117,11 +88,9 @@ class TestSimulateCommand:
         )
         assert sum(record["outcome_histogram"].values()) == 2 * 20000
 
-    def test_golden_output(self, capsys):
-        _, out, _ = run_cli(
-            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000", "--seed", "42"],
-            capsys,
-        )
+    def test_golden_output(self):
+        _, out, _ = run_main(
+            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000", "--seed", "42"])
         assert out == (
             '{"n_trials": 1000, "seed": 42, "mean_payoff_cm": 0.5745, '
             '"mean_payoff_sm": 0.524, "stderr_cm": 0.005808053329944854, '
@@ -132,48 +101,17 @@ class TestSimulateCommand:
             '"deviation_sm": 0.0010000000000000009}\n'
         )
 
-    def test_zero_trials_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "0"], capsys
-        )
-        assert code == 2
-        assert "InvalidTrialCount" in err
-
-    def test_negative_seed_exits_2(self, capsys):
-        code, out, err = run_cli(
-            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10", "--seed", "-1"],
-            capsys,
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: seed must be >= 0, got -1\n"
-
-    @pytest.mark.parametrize("threads", ["abc", "-1"])
-    def test_malformed_thread_count_exits_2(self, threads, capsys, monkeypatch):
-        monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", threads)
-        code, out, err = run_cli(
-            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10"], capsys
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert threads in err
-
-    def test_seed_defaults_to_zero(self, capsys):
-        _, out_default, _ = run_cli(
-            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"], capsys
-        )
-        _, out_zero, _ = run_cli(
-            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000", "--seed", "0"],
-            capsys,
-        )
+    def test_seed_defaults_to_zero(self):
+        _, out_default, _ = run_main(["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"])
+        _, out_zero, _ = run_main(
+            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000", "--seed", "0"])
         assert out_default == out_zero
         assert json.loads(out_default)["seed"] == 0
 
 
 class TestSweepCommand:
-    def test_reference_grid_critical_ratio_column(self, capsys):
-        code, out, _ = run_cli(
-            ["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25:0.75:3"], capsys
-        )
+    def test_reference_grid_critical_ratio_column(self):
+        code, out, _ = run_main(["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25:0.75:3"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == SWEEP_HEADER
@@ -181,27 +119,14 @@ class TestSweepCommand:
         assert ratios == pytest.approx([8.0, 4.0, 2.0 + 2.0 / 3.0], abs=1e-12)
         assert ratios[0] > ratios[1] > ratios[2]
 
-    def test_golden_output(self, capsys):
-        _, out, _ = run_cli(
-            ["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25:0.75:3"], capsys
-        )
-        assert out == (
-            "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational\n"
-            "0.80000000000000004,0.10000000000000001,0.25,0.5,0.75,"
-            "0.51250000000000007,0.51249999999999996,1.1102230246251565e-16,8,true\n"
-            "0.80000000000000004,0.10000000000000001,0.5,0.5,0.75,"
-            "0.57499999999999996,0.52500000000000002,0.049999999999999933,4,true\n"
-            "0.80000000000000004,0.10000000000000001,0.75,0.5,0.75,"
-            "0.63750000000000007,0.53749999999999998,0.10000000000000009,"
-            "2.6666666666666665,true\n"
-        )
+    def test_golden_output(self):
+        _, out, _ = run_main(["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25:0.75:3"])
+        assert out == README_SWEEP
 
-    def test_numbers_round_trip_exactly(self, capsys):
-        _, out, _ = run_cli(
+    def test_numbers_round_trip_exactly(self):
+        _, out, _ = run_main(
             ["sweep", "--vnc", "0.5", "--vc", "0.75", "--q", "0.1", "--r", "0.5",
-             "--axis", "p=0.1:0.9:7"],
-            capsys,
-        )
+             "--axis", "p=0.1:0.9:7"])
         for line in out.splitlines()[1:]:
             fields = line.split(",")
             margin = float(fields[7])
@@ -209,71 +134,29 @@ class TestSweepCommand:
             assert margin == eu_cm - eu_sm  # bit-exact after round-trip
             assert (margin > 0) == (fields[9] == "true")
 
-    def test_two_axes_lexicographic_order(self, capsys):
-        _, out, _ = run_cli(
+    def test_two_axes_lexicographic_order(self):
+        _, out, _ = run_main(
             ["sweep", "--vnc", "0.5", "--vc", "0.75", "--r", "0.5",
-             "--axis", "p=0.2:0.8:2", "--axis", "q=0.1:0.3:2"],
-            capsys,
-        )
+             "--axis", "p=0.2:0.8:2", "--axis", "q=0.1:0.3:2"])
         points = [(float(l.split(",")[0]), float(l.split(",")[1]))
                   for l in out.splitlines()[1:]]
         assert points == [(0.2, 0.1), (0.2, 0.3), (0.8, 0.1), (0.8, 0.3)]
 
-    def test_single_point_grid(self, capsys):
-        code, out, _ = run_cli(
-            ["sweep", *REFERENCE_FLAGS, "--axis", "r=0.5:0.5:1"], capsys
-        )
+    def test_single_point_grid(self):
+        code, out, _ = run_main(["sweep", *REFERENCE_FLAGS, "--axis", "r=0.5:0.5:1"])
         assert code == 0
         assert len(out.splitlines()) == 2
 
-    def test_infinity_serialized_as_inf_literal(self, capsys):
-        _, out, _ = run_cli(["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:3"], capsys)
+    def test_infinity_serialized_as_inf_literal(self):
+        _, out, _ = run_main(["sweep", *REFERENCE_FLAGS, "--axis", "r=0:1:3"])
         first_row = out.splitlines()[1].split(",")
         assert first_row[8] == "inf"
         assert math.isinf(float(first_row[8]))
 
-    def test_empty_grid_spec_exits_2(self, capsys):
-        code, _, err = run_cli(["sweep", *REFERENCE_FLAGS, "--r", "0.5"], capsys)
-        assert code == 2
-        assert "--axis" in err
-
-    def test_invalid_grid_point_exits_2_naming_it(self, capsys):
-        code, out, err = run_cli(
-            ["sweep", "--vc", "0.5", "--p", "0.8", "--q", "0.1", "--r", "0.5",
-             "--axis", "v_noncoop=0.1:0.9:5"],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""  # nothing emitted before validation finished
-        assert err == "OrderingViolation: require 0 < v_noncoop < v_coop < 1, got 0.5, 0.5\n"
-
-    def test_axis_and_fixed_flag_conflict_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["sweep", *REFERENCE_FLAGS, "--r", "0.5", "--axis", "r=0:1:3"], capsys
-        )
-        assert code == 2
-        assert "swept by an axis" in err
-
-    def test_malformed_axis_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25"], capsys
-        )
-        assert code == 2
-        assert "bad axis spec" in err
-
-    def test_unknown_axis_name_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["sweep", *REFERENCE_FLAGS, "--axis", "z=0:1:3"], capsys
-        )
-        assert code == 2
-        assert "unknown sweep axis" in err
-
 
 class TestEvolveCommand:
-    def test_one_generation_gives_two_rows(self, capsys):
-        code, out, _ = run_cli(
-            ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "1"], capsys
-        )
+    def test_one_generation_gives_two_rows(self):
+        code, out, _ = run_main(["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "1"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "generation,r,eu_cm,eu_sm"
@@ -282,11 +165,9 @@ class TestEvolveCommand:
         assert data[0].split(",")[0] == "0"
         assert data[1].split(",")[0] == "1"
 
-    def test_reference_trajectory_monotone_with_threshold_comment(self, capsys):
-        code, out, _ = run_cli(
-            ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"],
-            capsys,
-        )
+    def test_reference_trajectory_monotone_with_threshold_comment(self):
+        code, out, _ = run_main(
+            ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"])
         assert code == 0
         lines = out.splitlines()
         assert lines[-1].startswith("# ")
@@ -295,34 +176,22 @@ class TestEvolveCommand:
         shares = [float(l.split(",")[1]) for l in lines[1:-1]]
         assert all(a < b for a, b in zip(shares, shares[1:]))
 
-    def test_fixed_start_stays_constant(self, capsys):
-        _, out, _ = run_cli(
-            ["evolve", *REFERENCE_FLAGS, "--r0", "1", "--generations", "5"], capsys
-        )
+    def test_fixed_start_stays_constant(self):
+        _, out, _ = run_main(["evolve", *REFERENCE_FLAGS, "--r0", "1", "--generations", "5"])
         data = [l for l in out.splitlines()[1:] if not l.startswith("#")]
         assert all(line.split(",")[1] == "1" for line in data)
 
-    def test_no_threshold_comment_when_absent(self, capsys):
-        _, out, _ = run_cli(
+    def test_no_threshold_comment_when_absent(self):
+        _, out, _ = run_main(
             ["evolve", "--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0",
-             "--r0", "0.5", "--generations", "3"],
-            capsys,
-        )
+             "--r0", "0.5", "--generations", "3"])
         assert not any(line.startswith("#") for line in out.splitlines())
 
-    def test_invalid_generations_exits_2(self, capsys):
-        code, _, _ = run_cli(
-            ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "0"], capsys
-        )
-        assert code == 2
-
-    def test_subnormal_payoff_keeps_the_share(self, capsys):
+    def test_subnormal_payoff_keeps_the_share(self):
         """Both fitnesses of a subnormal v_noncoop no longer underflow to zero."""
-        code, out, err = run_cli(
+        code, out, err = run_main(
             ["evolve", "--vnc", "5e-324", "--vc", "0.5", "--p", "0", "--q", "0",
-             "--r0", "0.5", "--generations", "3"],
-            capsys,
-        )
+             "--r0", "0.5", "--generations", "3"])
         assert (code, err) == (0, "")
         rows = out.splitlines()[1:]
         assert rows and all(row.split(",")[1] == "0.5" for row in rows)
@@ -345,49 +214,47 @@ def test_evolve_memory_per_generation_is_about_its_trajectory_step():
 
 
 @pytest.mark.parametrize("name", sorted(EVOLVE_GOLDENS))
-def test_evolve_golden_csv(name, capsys):
-    code, out, err = run_cli(["evolve", *EVOLVE_GOLDENS[name]], capsys)
+def test_evolve_golden_csv(name):
+    code, out, err = run_main(["evolve", *EVOLVE_GOLDENS[name]])
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 class TestConfigFile:
-    def test_config_supplies_all_parameters(self, tmp_path, capsys):
+    def test_config_supplies_all_parameters(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(
             json.dumps({"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "r": 0.5})
         )
-        _, from_config, _ = run_cli(["analytic", "--config", str(config)], capsys)
-        _, from_flags, _ = run_cli(["analytic", *REFERENCE_FLAGS, "--r", "0.5"], capsys)
+        _, from_config, _ = run_main(["analytic", "--config", str(config)])
+        _, from_flags, _ = run_main(["analytic", *REFERENCE_FLAGS, "--r", "0.5"])
         assert from_config == from_flags
 
-    def test_flags_take_precedence_over_config(self, tmp_path, capsys):
+    def test_flags_take_precedence_over_config(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(
             json.dumps({"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "r": 0.5})
         )
-        _, out, _ = run_cli(
-            ["analytic", "--config", str(config), "--r", "0"], capsys
-        )
+        _, out, _ = run_main(["analytic", "--config", str(config), "--r", "0"])
         assert json.loads(out)["critical_ratio"] == "inf"
 
-    def test_config_can_supply_sweep_axes(self, tmp_path, capsys):
+    def test_config_can_supply_sweep_axes(self, tmp_path):
         config = tmp_path / "sweep.json"
         config.write_text(
             json.dumps({"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1,
                         "axis": ["r=0.25:0.75:3"]})
         )
-        code, out, _ = run_cli(["sweep", "--config", str(config)], capsys)
+        code, out, _ = run_main(["sweep", "--config", str(config)])
         assert code == 0
         assert len(out.splitlines()) == 4
 
     @pytest.mark.parametrize("axis", ["r=0:1:3", ["r=0:1:3", 5], {"r": "0:1:3"}])
-    def test_config_axis_must_be_a_list_of_strings(self, axis, tmp_path, capsys):
+    def test_config_axis_must_be_a_list_of_strings(self, axis, tmp_path):
         config = tmp_path / "sweep.json"
         config.write_text(
             json.dumps({"vnc": 0.5, "vc": 0.75, "p": 0.8, "q": 0.1, "axis": axis})
         )
-        code, out, err = run_cli(["sweep", "--config", str(config)], capsys)
+        code, out, err = run_main(["sweep", "--config", str(config)])
         assert (code, out) == (2, "")
         assert err.startswith('error: config key "axis" must be a list')
         assert err.count("\n") == 1
@@ -408,10 +275,10 @@ class TestConfigFile:
             pytest.param("analytic", "vc", 10**400, id="analytic-vc-huge_int"),
         ],
     )
-    def test_malformed_config_value_exits_2(self, command, key, value, tmp_path, capsys):
+    def test_malformed_config_value_exits_2(self, command, key, value, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({**COMMAND_CONFIGS[command], key: value}))
-        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        code, out, err = run_main([command, "--config", str(config)])
         assert (code, out) == (2, "")
         assert err.startswith(f'error: config key "{key}" must be ')
         assert err.count("\n") == 1
@@ -426,26 +293,26 @@ class TestConfigFile:
         ],
     )
     def test_config_values_read_like_flags(
-        self, command, config_values, flags, tmp_path, capsys
+        self, command, config_values, flags, tmp_path
     ):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({**COMMAND_CONFIGS[command], **config_values}))
-        from_config = run_cli([command, "--config", str(config)], capsys)
-        from_flags = run_cli([command, "--config", str(config), *flags], capsys)
+        from_config = run_main([command, "--config", str(config)])
+        from_flags = run_main([command, "--config", str(config), *flags])
         assert from_config == from_flags
         assert from_config[0] == 0
 
-    def test_null_config_value_counts_as_absent(self, tmp_path, capsys):
+    def test_null_config_value_counts_as_absent(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({**COMMAND_CONFIGS["analytic"], "q": None}))
-        code, out, err = run_cli(["analytic", "--config", str(config)], capsys)
+        code, out, err = run_main(["analytic", "--config", str(config)])
         assert (code, out, err) == (2, "", "error: missing required parameter --q\n")
 
     @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
-    def test_config_key_that_names_no_flag_exits_2(self, command, tmp_path, capsys):
+    def test_config_key_that_names_no_flag_exits_2(self, command, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({**COMMAND_CONFIGS[command], "sead": 5}))
-        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        code, out, err = run_main([command, "--config", str(config)])
         assert (code, out, err) == (2, "", 'error: config key "sead" names no flag\n')
 
     @pytest.mark.parametrize(
@@ -458,30 +325,23 @@ class TestConfigFile:
         ],
     )
     def test_config_key_of_another_commands_flag_is_ignored(
-        self, command, foreign, tmp_path, capsys
+        self, command, foreign, tmp_path
     ):
         """One file serves all four commands: each reads its own flags only."""
         own, shared = tmp_path / "own.json", tmp_path / "shared.json"
         own.write_text(json.dumps(COMMAND_CONFIGS[command]))
         shared.write_text(json.dumps({**COMMAND_CONFIGS[command], **foreign}))
-        from_shared = run_cli([command, "--config", str(shared)], capsys)
-        assert from_shared == run_cli([command, "--config", str(own)], capsys)
+        from_shared = run_main([command, "--config", str(shared)])
+        assert from_shared == run_main([command, "--config", str(own)])
         assert from_shared[0] == 0
 
     @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000, b'{"vnc": 0.5'])
-    def test_unreadable_config_exits_2(self, content, tmp_path, capsys):
+    def test_unreadable_config_exits_2(self, content, tmp_path):
         config = tmp_path / "run.json"
         config.write_bytes(content)
-        code, out, err = run_cli(["analytic", "--config", str(config)], capsys)
+        code, out, err = run_main(["analytic", "--config", str(config)])
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read config file") and err.count("\n") == 1
-
-    def test_missing_config_file_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["analytic", "--config", "/nonexistent.json"], capsys
-        )
-        assert code == 2
-        assert "config" in err
 
 
 # Values small enough that every accepted config runs in milliseconds.
@@ -518,16 +378,14 @@ def config_files(draw):
 @example(("simulate", {**COMMAND_CONFIGS["simulate"], "n": 10**400}))
 def test_any_config_file_exits_0_or_2_with_one_error_line(case):
     command, config = case
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
         path.write_text(json.dumps(config))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(path)])
+        code, _, err = run_main([command, "--config", str(path)])
     assert code in (0, 2)
     if code == 2:
-        assert err.getvalue().count("\n") == 1
-        assert not err.getvalue().startswith("internal error")
+        assert err.count("\n") == 1
+        assert not err.startswith("internal error")
 
 
 @pytest.mark.parametrize(
@@ -558,14 +416,14 @@ class TestBrokenPipe:
         assert (proc.returncode, err) == (0, b"")
 
 
-def test_unexpected_exception_exits_1_with_one_internal_error_line(monkeypatch, capsys):
+def test_unexpected_exception_exits_1_with_one_internal_error_line(monkeypatch):
     """An error that is not a bad input is a bug: exit 1, naming its type."""
 
     def boom(settings):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_analytic", boom)
-    code, out, err = run_cli(["analytic", *REFERENCE_FLAGS, "--r", "0.5"], capsys)
+    code, out, err = run_main(["analytic", *REFERENCE_FLAGS, "--r", "0.5"])
     assert (code, out, err) == (1, "", "internal error: RuntimeError: boom\n")
 
 
@@ -618,13 +476,13 @@ MD5_PINS = {
 
 
 @pytest.mark.parametrize("name", sorted(MD5_PINS))
-def test_stdout_matches_pinned_md5(name, capsys, monkeypatch):
+def test_stdout_matches_pinned_md5(name, monkeypatch):
     argv, threads, digest = MD5_PINS[name]
     if threads is None:
         monkeypatch.delenv("DISPOSITIONS_SIM_THREADS", raising=False)
     else:
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", threads)
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_main(argv)
     assert (code, err) == (0, "")
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
@@ -830,13 +688,12 @@ NARROW_STDOUT_RUNS = {
 @pytest.mark.parametrize("name", sorted(NARROW_STDOUT_RUNS))
 def test_cli_writes_stdout_only_through_write_and_flush(name):
     argv = NARROW_STDOUT_RUNS[name]
-    narrow, full = WriteAndFlushOnly(), io.StringIO()
+    narrow = WriteAndFlushOnly()
     with contextlib.redirect_stdout(narrow):
         narrow_code = main(argv)
-    with contextlib.redirect_stdout(full):
-        full_code = main(argv)
+    full_code, full, _ = run_main(argv)
     assert (narrow_code, full_code) == (0, 0)
-    assert "".join(narrow.parts) == full.getvalue()
+    assert "".join(narrow.parts) == full
 
 
 # An evolve run that converges at generation 116 of 200, with a threshold comment

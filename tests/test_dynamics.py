@@ -25,7 +25,8 @@ from dispositions_sim.dynamics import (
     evolve,
     interior_threshold,
 )
-from exact import margin_line, margin_root
+import exact
+from reference import REFERENCE_DECIMALS
 
 PAY = TranslucentPayoffs(0.5, 0.75)
 
@@ -65,11 +66,7 @@ class TestReplicatorStep:
 
     def test_reference_step_against_rational_oracle(self):
         """r' = r*eu_cm / (r*eu_cm + (1-r)*eu_sm) at the reference point."""
-        eu_cm, eu_sm = Fraction(23, 40), Fraction(21, 40)
-        exact = (Fraction(1, 2) * eu_cm) / (
-            Fraction(1, 2) * eu_cm + Fraction(1, 2) * eu_sm
-        )
-        assert exact == Fraction(23, 44)
+        assert exact.next_share(*REFERENCE_DECIMALS) == Fraction(23, 44)
         result = next_share(PAY, params())
         assert result == pytest.approx(float(Fraction(23, 44)), abs=1e-12)
 
@@ -230,7 +227,7 @@ class TestInteriorThreshold:
     def test_reference_root_against_rational_oracle(self):
         """The EU margin is linear in r, ``a + s*r``; its root solves -a = r*s. The
         doubles 0.8 and 0.1 give p = 8q exactly, so the root is 1/4 exactly."""
-        exact_root = margin_root(*PAY, p=0.8, q=0.1)
+        exact_root = exact.margin_root(*PAY, p=0.8, q=0.1)
         assert exact_root == Fraction(1, 4)
         root = interior_threshold(PAY, p=0.8, q=0.1)
         assert root == pytest.approx(0.25, abs=1e-9)
@@ -270,14 +267,14 @@ class TestInteriorThreshold:
             p = round(rng.uniform(0.05, 1.0), 3)
             q = round(rng.uniform(0.05, 1.0), 3)
             pay = TranslucentPayoffs(v_nc, v_c)
-            _, slope = margin_line(v_nc, v_c, p, q)
+            _, slope = exact.margin_line(v_nc, v_c, p, q)
             if slope <= 0:
                 continue
-            exact = margin_root(v_nc, v_c, p, q)
+            exact_root = exact.margin_root(v_nc, v_c, p, q)
             root = interior_threshold(pay, p, q)
-            if not (0 < exact < 1):
+            if not (0 < exact_root < 1):
                 assert root is None
                 continue
             assert root is not None
-            assert root == pytest.approx(float(exact), abs=1e-8)
+            assert root == pytest.approx(float(exact_root), abs=1e-8)
             found += 1

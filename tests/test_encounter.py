@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dispositions_sim.core import TranslucencyParams, TranslucentPayoffs
 from dispositions_sim.encounter import EncounterConfig, RngStream
 import pcg64
+from reference import reference_config
 from scalar_oracle import resolve_encounter
 
 SM = "sm"
@@ -20,13 +21,6 @@ NONCOOP = "non_cooperation"
 COOP = "cooperation"
 DEFECTED = "defection"
 EXPLOITED = "exploitation"
-
-
-def make_config(v_nc=0.5, v_c=0.75, p=0.8, q=0.1, r=0.5):
-    return EncounterConfig(
-        payoffs=TranslucentPayoffs(v_nc, v_c),
-        params=TranslucencyParams(p=p, q=q, r=r),
-    )
 
 
 def test_encounter_config_record_contract(record_contract):
@@ -134,12 +128,12 @@ class TestRngStream:
 
 class TestResolveEncounter:
     def test_sm_vs_sm_is_mutual_noncooperation(self):
-        cfg = make_config(v_nc=0.5)
+        cfg = reference_config(v_nc=0.5)
         assert resolve_encounter(SM, SM, cfg, pcg64.stream(0, 0)) == (NONCOOP, NONCOOP)
 
     def test_sm_vs_sm_consumes_one_draw(self):
         """The discarded draw keeps trial alignment stable across variants."""
-        cfg = make_config()
+        cfg = reference_config()
         stream = pcg64.stream(42, 0)
         resolve_encounter(SM, SM, cfg, stream)
         reference = pcg64.stream(42, 0)
@@ -147,29 +141,29 @@ class TestResolveEncounter:
         assert stream.random() == reference.random()
 
     def test_cm_vs_cm_certain_recognition_cooperates(self):
-        cfg = make_config(p=1.0)
+        cfg = reference_config(p=1.0)
         assert resolve_encounter(CM, CM, cfg, pcg64.stream(1, 0)) == (COOP, COOP)
 
     def test_cm_vs_cm_impossible_recognition_noncooperates(self):
-        cfg = make_config(p=0.0)
+        cfg = reference_config(p=0.0)
         assert resolve_encounter(CM, CM, cfg, pcg64.stream(1, 0)) == (NONCOOP, NONCOOP)
 
     def test_cm_vs_sm_certain_exploitation(self):
         """The constrained agent is exploited and the other defects."""
-        cfg = make_config(q=1.0)
+        cfg = reference_config(q=1.0)
         assert resolve_encounter(CM, SM, cfg, pcg64.stream(2, 0)) == (EXPLOITED, DEFECTED)
 
     def test_sm_vs_cm_mirrors_exploitation(self):
-        cfg = make_config(q=1.0)
+        cfg = reference_config(q=1.0)
         assert resolve_encounter(SM, CM, cfg, pcg64.stream(2, 0)) == (DEFECTED, EXPLOITED)
 
     def test_cm_vs_sm_without_exploitation_noncooperates(self):
-        cfg = make_config(q=0.0)
+        cfg = reference_config(q=0.0)
         assert resolve_encounter(CM, SM, cfg, pcg64.stream(2, 0)) == (NONCOOP, NONCOOP)
         assert resolve_encounter(SM, CM, cfg, pcg64.stream(2, 0)) == (NONCOOP, NONCOOP)
 
     def test_identical_stream_state_gives_identical_outcomes(self):
-        cfg = make_config()
+        cfg = reference_config()
         outcomes_a = [
             resolve_encounter(CM, CM, cfg, stream)
             for stream in [pcg64.stream(77, i) for i in range(10)]
@@ -189,7 +183,7 @@ class TestResolveEncounter:
     @settings(deadline=None, max_examples=300)
     def test_outcome_pair_consistency(self, seed, pairing, p, q):
         """Defection and exploitation come paired; other classes are shared."""
-        cfg = make_config(p=p, q=q)
+        cfg = reference_config(p=p, q=q)
         out_a, out_b = resolve_encounter(*pairing, cfg, pcg64.stream(seed, 0))
         for mine, theirs in ((out_a, out_b), (out_b, out_a)):
             assert mine in (NONCOOP, COOP, DEFECTED, EXPLOITED)
@@ -204,7 +198,7 @@ class TestResolveEncounter:
         """Over many CM-CM encounters the cooperation rate approaches p."""
         n = 100_000
         p = 0.8
-        cfg = make_config(p=p)
+        cfg = reference_config(p=p)
         stream = pcg64.stream(2024, 0)
         coop = sum(
             resolve_encounter(CM, CM, cfg, stream) == (COOP, COOP)

@@ -5,8 +5,6 @@ check), and the CLI turns each into exit code 2 with exactly one stderr line
 and no stdout.
 """
 
-import contextlib
-import io
 import re
 import threading
 
@@ -16,7 +14,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dispositions_sim import (
-    EncounterConfig,
     InvalidInput,
     InvalidProbability,
     InvalidTrialCount,
@@ -28,25 +25,8 @@ from dispositions_sim import (
     evolve,
 )
 from dispositions_sim import montecarlo
-from dispositions_sim.cli import main
 from dispositions_sim.montecarlo import resolve_workers
-
-REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
-
-
-def run_main(argv):
-    """(exit code, stdout, stderr) of an in-process CLI run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def reference_config():
-    return EncounterConfig(
-        payoffs=TranslucentPayoffs(v_noncoop=0.5, v_coop=0.75),
-        params=TranslucencyParams(p=0.8, q=0.1, r=0.5),
-    )
+from reference import REFERENCE_FLAGS, reference_config, run_main
 
 
 def read_only(array):
@@ -165,6 +145,10 @@ CONFIG_FILES = {"list.json": "[1]", "value.json": '{"r": "abc"}'}
 SINGLE_FAULTS = {
     "missing-flag": (
         ["analytic", *REFERENCE_FLAGS], None, "error: missing required parameter --r"),
+    # With p, q and r all missing, the one the command reads first is named.
+    "missing-flags": (
+        ["analytic", "--vnc", "0.5", "--vc", "0.75"], None,
+        "error: missing required parameter --p"),
     "no-axis": (
         ["sweep", *REFERENCE_FLAGS], None,
         "error: sweep needs at least one --axis NAME=START:STOP:COUNT"),

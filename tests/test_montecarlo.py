@@ -15,24 +15,13 @@ import numpy as np
 import pytest
 
 from dispositions_sim.analytic import translucent_eu_cm, translucent_eu_sm
-from dispositions_sim.core import (
-    InvalidInput,
-    TranslucencyParams,
-    TranslucentPayoffs,
-    resolve_workers,
-)
+from dispositions_sim.core import InvalidInput, resolve_workers
 from dispositions_sim.encounter import EncounterConfig
 from dispositions_sim import montecarlo
 from dispositions_sim.montecarlo import InvalidTrialCount, TrialReport, estimate_eus
 import pcg64
+from reference import reference_config
 from scalar_oracle import run_trial
-
-
-def make_config(v_nc=0.5, v_c=0.75, p=0.8, q=0.1, r=0.5):
-    return EncounterConfig(
-        payoffs=TranslucentPayoffs(v_nc, v_c),
-        params=TranslucencyParams(p=p, q=q, r=r),
-    )
 
 
 def spec_streams(seed: int, block_index: int) -> list:
@@ -118,7 +107,8 @@ class TestScalarEquivalence:
     )
     def test_single_block_matches_trial_loop(self, changes):
         """Vectorized counts equal resolving each trial with the scalar oracle."""
-        cfg = make_config(v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
+        cfg = reference_config(
+            v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
         report = estimate_eus(cfg, 10_000, seed=97)
         reference = reference_report(cfg, 10_000, seed=97)
         assert report.outcome_histogram == reference.outcome_histogram
@@ -130,7 +120,7 @@ class TestScalarEquivalence:
     def test_multi_block_partitioning_matches_trial_loop(self, monkeypatch):
         """Block merging agrees with the loop when trials span many blocks."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 512)
-        cfg = make_config(p=0.55, q=0.25, r=0.3)
+        cfg = reference_config(p=0.55, q=0.25, r=0.3)
         report = estimate_eus(cfg, 3 * 512 + 123, seed=11)
         reference = reference_report(cfg, 3 * 512 + 123, seed=11)
         assert report.outcome_histogram == reference.outcome_histogram
@@ -154,7 +144,7 @@ class TestScalarEquivalence:
 
         def config(value):
             values = {"p": 0.6, "q": 0.3, "r": 0.45, name: value}
-            return make_config(v_nc=0.37, v_c=0.81, **values)
+            return reference_config(v_nc=0.37, v_c=0.81, **values)
 
         def outcome(value, t):
             streams = (SimpleNamespace(random=lambda u=row[t]: u) for row in draws)
@@ -176,7 +166,8 @@ class TestScalarEquivalence:
         each mask entry is written before it is read, and nothing past the
         block's ``trials`` entries is read."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 4096)
-        cfg = make_config(v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
+        cfg = reference_config(
+            v_nc=0.37, v_c=0.81, **{"p": 0.6, "q": 0.3, "r": 0.45, **changes})
         for block_index, trials in enumerate((4096, 2731)):
             streams = spec_streams(13, block_index)
             outcomes = Counter(run_trial(cfg, *streams) for _ in range(trials))
@@ -195,7 +186,7 @@ class TestScalarEquivalence:
 
 class TestDegenerateConfigs:
     def test_no_recognition_is_exact_with_zero_variance(self):
-        cfg = make_config(v_nc=0.43, v_c=0.87, p=0.0, q=0.0, r=0.3)
+        cfg = reference_config(v_nc=0.43, v_c=0.87, p=0.0, q=0.0, r=0.3)
         report = estimate_eus(cfg, 10_000, seed=1)
         assert report.mean_payoff_cm == 0.43
         assert report.mean_payoff_sm == 0.43
@@ -204,7 +195,7 @@ class TestDegenerateConfigs:
         assert report.outcome_histogram["non_cooperation"] == 20_000
 
     def test_certain_cooperation_is_exact(self):
-        cfg = make_config(v_nc=0.5, v_c=0.75, p=1.0, q=0.0, r=1.0)
+        cfg = reference_config(v_nc=0.5, v_c=0.75, p=1.0, q=0.0, r=1.0)
         report = estimate_eus(cfg, 10_000, seed=1)
         assert report.mean_payoff_cm == 0.75
         assert report.outcome_histogram["cooperation"] == 10_000
@@ -212,19 +203,19 @@ class TestDegenerateConfigs:
 
 class TestDeterminism:
     def test_identical_inputs_give_identical_reports(self):
-        cfg = make_config()
+        cfg = reference_config()
         assert estimate_eus(cfg, 50_000, seed=42) == estimate_eus(cfg, 50_000, seed=42)
 
     def test_worker_count_does_not_change_the_report(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
-        cfg = make_config()
+        cfg = reference_config()
         reports = [
             estimate_eus(cfg, 10_500, seed=3, workers=w) for w in (1, 2, 4, 8)
         ]
         assert all(report == reports[0] for report in reports)
 
     def test_env_var_controls_workers_without_changing_output(self, monkeypatch):
-        cfg = make_config()
+        cfg = reference_config()
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "1")
         single = estimate_eus(cfg, 150_000, seed=9)
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "4")
@@ -234,7 +225,7 @@ class TestDeterminism:
     def test_bad_env_var_is_an_error(self, monkeypatch):
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "lots")
         with pytest.raises(ValueError):
-            estimate_eus(make_config(), 10, seed=0)
+            estimate_eus(reference_config(), 10, seed=0)
 
 
 class TestWorkerRule:
@@ -251,13 +242,14 @@ class TestWorkerRule:
         thread starts, and the report is the one-worker report."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        single = estimate_eus(make_config(), 20 * 64 + 5, seed=4, workers=1)
+        single = estimate_eus(reference_config(), 20 * 64 + 5, seed=4, workers=1)
 
         def no_thread(*args, **kwargs):
             raise AssertionError("a helper thread was started")
 
         monkeypatch.setattr(montecarlo, "Thread", no_thread)
-        assert estimate_eus(make_config(), 20 * 64 + 5, seed=4, workers=None) == single
+        unset = estimate_eus(reference_config(), 20 * 64 + 5, seed=4, workers=None)
+        assert unset == single
 
     def test_without_an_affinity_mask_the_cpu_count_is_used(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -300,7 +292,7 @@ class TestDriver:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            estimate_eus(make_config(), 300 * 64 + 5, seed=2, workers=workers)
+            estimate_eus(reference_config(), 300 * 64 + 5, seed=2, workers=workers)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(index for index, _ in runs) == list(range(301))
@@ -308,7 +300,7 @@ class TestDriver:
     def test_one_worker_runs_every_block_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
         runs = record_blocks(monkeypatch)
-        estimate_eus(make_config(), 50 * 64, seed=2, workers=1)
+        estimate_eus(reference_config(), 50 * 64, seed=2, workers=1)
         assert len(runs) == 50
         assert {thread for _, thread in runs} == {threading.get_ident()}
 
@@ -317,7 +309,7 @@ class TestDriver:
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
         runs = record_blocks(monkeypatch, fail_at=4)
         with pytest.raises(RuntimeError, match="^block 4 failed$"):
-            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+            estimate_eus(reference_config(), 1000 * 64, seed=2, workers=workers)
         # Blocks 0-4, plus at most one more claimed by each other worker.
         assert 5 <= len(runs) <= workers + 4
 
@@ -351,7 +343,7 @@ class TestDriver:
         workers = 3  # the calling thread and one started helper: 2 threads
         message = "^cannot start 3 Monte Carlo workers: can't start new thread$"
         with pytest.raises(InvalidInput, match=message):
-            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+            estimate_eus(reference_config(), 1000 * 64, seed=2, workers=workers)
         assert SecondStartFails.starts == 2
         assert len(runs) <= workers + 4
 
@@ -367,7 +359,8 @@ class TestDriver:
         monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", "5")
         message = "^cannot start 3 Monte Carlo workers: can't start new thread$"
         with pytest.raises(InvalidInput, match=message):
-            estimate_eus(make_config(), 3 * montecarlo.BLOCK_TRIALS, seed=2, workers=3)
+            estimate_eus(
+                reference_config(), 3 * montecarlo.BLOCK_TRIALS, seed=2, workers=3)
 
     @pytest.mark.parametrize("fault", ["none", "failing_block", "refused_start"])
     @pytest.mark.parametrize("workers", [2, 4])
@@ -400,7 +393,7 @@ class TestDriver:
             outcome = pytest.raises(InvalidInput, match="can't start new thread$")
         before = threading.enumerate()
         with outcome:
-            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+            estimate_eus(reference_config(), 1000 * 64, seed=2, workers=workers)
         assert threading.enumerate() == before
         assert hooked == []
 
@@ -430,7 +423,7 @@ class TestDriver:
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         before = threading.enumerate()
         with pytest.raises(Interrupt):
-            estimate_eus(make_config(), 1000 * 64, seed=2, workers=workers)
+            estimate_eus(reference_config(), 1000 * 64, seed=2, workers=workers)
         assert threading.enumerate() == before
         assert hooked == []
 
@@ -457,7 +450,7 @@ class TestDriver:
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         before = threading.enumerate()
         with pytest.raises(MemoryError, match="^helper buffers$"):
-            estimate_eus(make_config(), 1000 * 64, seed=2, workers=2)
+            estimate_eus(reference_config(), 1000 * 64, seed=2, workers=2)
         assert threading.enumerate() == before
         assert hooked == []
 
@@ -488,17 +481,17 @@ class TestDriver:
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
         monkeypatch.setattr(montecarlo, "block_streams", both_fail)
         with pytest.raises(CallerFault):
-            estimate_eus(make_config(), 1000 * 64, seed=2, workers=3)
+            estimate_eus(reference_config(), 1000 * 64, seed=2, workers=3)
         assert helper_failed.is_set()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_the_block_count(self, monkeypatch, workers):
-        """Each block's ``block_streams`` tuple, built from a generator, is resized
-        and freed to CPython's 3-tuple free list, which a full collection empties
-        and which holds at most 2000. A 4000-block warm-up fills it, so the peak of
-        the 1000-block call does not depend on what ran before."""
+        """What a block allocates is freed before the next one: a 1000-block call
+        peaks below 64 KiB. A full collection runs first, so the peak does not rest
+        on what earlier tests left behind."""
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
-        assert traced_peak(1000 * 64, workers, warm_up_trials=4000 * 64) < 64 * 1024
+        gc.collect()
+        assert traced_peak(1000 * 64, workers) < 64 * 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_working_set_is_one_draw_row_per_worker(self, workers):
@@ -511,7 +504,7 @@ class TestDriver:
         array of its own: a single 64 KiB mask would exceed the bound."""
         row = np.empty(montecarlo.BLOCK_TRIALS)
         partner, hits = np.empty((2, montecarlo.BLOCK_TRIALS), bool)
-        params = make_config().params
+        params = reference_config().params
         montecarlo._run_block(params, 0, 0, row, partner, hits)
         tracemalloc.start()
         try:
@@ -522,15 +515,15 @@ class TestDriver:
         assert peak < 16 * 1024
 
 
-def traced_peak(n_trials: int, workers: int, warm_up_trials: int | None = None) -> int:
+def traced_peak(n_trials: int, workers: int) -> int:
     """The ``tracemalloc`` peak of one ``estimate_eus`` call, in bytes, after an
-    untraced warm-up call of ``warm_up_trials`` (``n_trials`` if None). The collector
-    is off for both, so no full collection empties the free lists the warm-up filled."""
-    cfg = make_config()
+    untraced warm-up call of the same size. The collector is off for both, so no
+    collection between them changes what the traced call finds."""
+    cfg = reference_config()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        estimate_eus(cfg, warm_up_trials or n_trials, seed=0, workers=workers)
+        estimate_eus(cfg, n_trials, seed=0, workers=workers)
         tracemalloc.start()
         try:
             estimate_eus(cfg, n_trials, seed=1, workers=workers)
@@ -544,7 +537,7 @@ def traced_peak(n_trials: int, workers: int, warm_up_trials: int | None = None) 
 
 class TestOracleAgreement:
     def test_reference_config_matches_closed_forms(self):
-        cfg = make_config()
+        cfg = reference_config()
         report = estimate_eus(cfg, 10**6, seed=42)
         assert abs(report.mean_payoff_cm - 0.575) < 0.002
         assert abs(report.mean_payoff_sm - 0.525) < 0.002
@@ -558,7 +551,7 @@ class TestOracleAgreement:
             p = rng.uniform(0.05, 0.95)
             q = rng.uniform(0.05, 0.95)
             r = rng.uniform(0.05, 0.95)
-            cfg = make_config(v_nc=v_nc, v_c=v_c, p=p, q=q, r=r)
+            cfg = reference_config(v_nc=v_nc, v_c=v_c, p=p, q=q, r=r)
             report = estimate_eus(cfg, 10**5, seed=1000 + index)
             eu_cm = translucent_eu_cm(cfg.payoffs, cfg.params)
             eu_sm = translucent_eu_sm(cfg.payoffs, cfg.params)
@@ -575,7 +568,7 @@ class TestOracleAgreement:
     def test_histogram_consistency(self):
         """Cooperation frequency tracks r*p; counts cover every encounter, under
         the four outcome keys in their JSON order."""
-        cfg = make_config(p=0.8, q=0.1, r=0.5)
+        cfg = reference_config(p=0.8, q=0.1, r=0.5)
         n = 10**5
         report = estimate_eus(cfg, n, seed=5)
         assert list(report.outcome_histogram) == [
@@ -592,10 +585,10 @@ class TestValidation:
     @pytest.mark.parametrize("bad_n", [0, -5])
     def test_non_positive_trial_count_rejected(self, bad_n):
         with pytest.raises(InvalidTrialCount):
-            estimate_eus(make_config(), bad_n, seed=0)
+            estimate_eus(reference_config(), bad_n, seed=0)
 
     def test_single_trial_allowed(self):
-        report = estimate_eus(make_config(), 1, seed=0)
+        report = estimate_eus(reference_config(), 1, seed=0)
         assert report.n_trials == 1
         assert report.stderr_cm == 0.0
         assert sum(report.outcome_histogram.values()) == 2

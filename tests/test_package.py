@@ -14,12 +14,8 @@ import pytest
 
 import dispositions_sim
 from dispositions_sim.cli import main
+from reference import README_ANALYTIC, README_SWEEP, REFERENCE_FLAGS
 
-REFERENCE_FLAGS = ["--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0.1"]
-README_ANALYTIC = (
-    '{"eu_cm": 0.575, "eu_sm": 0.525, "margin": 0.04999999999999993, '
-    '"critical_ratio": 4.0, "cm_rational": true}\n'
-)
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 SOURCES = ROOT / "src" / "dispositions_sim"
@@ -171,17 +167,6 @@ def test_usage_errors_need_no_numpy(tmp_path):
     ]
     for argv, line in cases:
         assert assert_numpy_free(RUN_CLI, *argv) == (2, "", line)
-
-
-README_SWEEP = (
-    "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational\n"
-    "0.80000000000000004,0.10000000000000001,0.25,0.5,0.75,0.51250000000000007,"
-    "0.51249999999999996,1.1102230246251565e-16,8,true\n"
-    "0.80000000000000004,0.10000000000000001,0.5,0.5,0.75,0.57499999999999996,"
-    "0.52500000000000002,0.049999999999999933,4,true\n"
-    "0.80000000000000004,0.10000000000000001,0.75,0.5,0.75,0.63750000000000007,"
-    "0.53749999999999998,0.10000000000000009,2.6666666666666665,true\n"
-)
 
 
 @pytest.mark.parametrize(

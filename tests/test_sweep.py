@@ -3,9 +3,7 @@ point-by-point reference, a rejected grid's line (the one ``analytic`` prints
 at a bad point), and memory that grows with the axis lengths, by about a
 double per point, not with the row count."""
 
-import contextlib
 import hashlib
-import io
 import itertools
 import math
 from array import array
@@ -26,9 +24,9 @@ from dispositions_sim import (
     critical_ratio,
 )
 from dispositions_sim import sweep
-from dispositions_sim.cli import main
 from dispositions_sim.sweep import PARAM_NAMES, SWEEP_HEADER, _fill_linspace
 from peak_rss import needs_procfs, peak_rss_kib
+from reference import run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,10 +35,7 @@ FLAG_FOR_PARAM = {"p": "p", "q": "q", "r": "r", "v_noncoop": "vnc", "v_coop": "v
 
 def run_sweep(argv):
     """(exit code, stdout, stderr) of an in-process ``sweep`` run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["sweep", *argv])
-    return code, out.getvalue(), err.getvalue()
+    return run_main(["sweep", *argv])
 
 
 def sweep_argv(fixed, axes):
@@ -390,10 +385,8 @@ def test_a_one_point_sweep_exits_as_analytic_does(change, as_axis):
     fixed = {name: value for name, value in point.items() if name not in swept}
     argv = sweep_argv(fixed, [(name, point[name], point[name], 1) for name in swept])
     code, _, err = run_sweep(argv)
-    analytic = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(analytic):
-        expected_code = main(["analytic", *sweep_argv(point, [])])
-    assert (code, err) == (expected_code, analytic.getvalue())
+    expected_code, _, expected_err = run_main(["analytic", *sweep_argv(point, [])])
+    assert (code, err) == (expected_code, expected_err)
 
 
 @settings(max_examples=200, deadline=None)
