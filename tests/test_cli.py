@@ -61,6 +61,13 @@ class TestAnalyticCommand:
         _, out, _ = run_main(["analytic", *REFERENCE_FLAGS, "--r", "0.5"])
         assert out == README_ANALYTIC
 
+    def test_invalid_ordering_exits_2(self):
+        code, out, err = run_main(
+            ["analytic", "--vnc", "0.7", "--vc", "0.6", "--p", "0.8", "--q", "0.1", "--r", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert "OrderingViolation" in err
+
     def test_no_recognition_collapse(self):
         code, out, _ = run_main(
             ["analytic", "--vnc", "0.5", "--vc", "0.75", "--p", "0", "--q", "0", "--r", "0.3"])
@@ -100,6 +107,25 @@ class TestSimulateCommand:
             '"deviation_cm": 0.0004999999999999449, '
             '"deviation_sm": 0.0010000000000000009}\n'
         )
+
+    def test_zero_trials_exits_2(self):
+        code, _, err = run_main(["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "0"])
+        assert code == 2
+        assert "InvalidTrialCount" in err
+
+    def test_negative_seed_exits_2(self):
+        code, out, err = run_main(
+            ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10", "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_malformed_thread_count_exits_2(self, threads, monkeypatch):
+        monkeypatch.setenv("DISPOSITIONS_SIM_THREADS", threads)
+        code, out, err = run_main(["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "10"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert threads in err
 
     def test_seed_defaults_to_zero(self):
         _, out_default, _ = run_main(["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"])
@@ -153,6 +179,34 @@ class TestSweepCommand:
         assert first_row[8] == "inf"
         assert math.isinf(float(first_row[8]))
 
+    def test_empty_grid_spec_exits_2(self):
+        code, _, err = run_main(["sweep", *REFERENCE_FLAGS, "--r", "0.5"])
+        assert code == 2
+        assert "--axis" in err
+
+    def test_invalid_grid_point_exits_2_naming_it(self):
+        code, out, err = run_main(
+            ["sweep", "--vc", "0.5", "--p", "0.8", "--q", "0.1", "--r", "0.5",
+             "--axis", "v_noncoop=0.1:0.9:5"])
+        assert code == 2
+        assert out == ""  # nothing emitted before validation finished
+        assert err == "OrderingViolation: require 0 < v_noncoop < v_coop < 1, got 0.5, 0.5\n"
+
+    def test_axis_and_fixed_flag_conflict_exits_2(self):
+        code, _, err = run_main(["sweep", *REFERENCE_FLAGS, "--r", "0.5", "--axis", "r=0:1:3"])
+        assert code == 2
+        assert "swept by an axis" in err
+
+    def test_malformed_axis_exits_2(self):
+        code, _, err = run_main(["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25"])
+        assert code == 2
+        assert "bad axis spec" in err
+
+    def test_unknown_axis_name_exits_2(self):
+        code, _, err = run_main(["sweep", *REFERENCE_FLAGS, "--axis", "z=0:1:3"])
+        assert code == 2
+        assert "unknown sweep axis" in err
+
 
 class TestEvolveCommand:
     def test_one_generation_gives_two_rows(self):
@@ -186,6 +240,10 @@ class TestEvolveCommand:
             ["evolve", "--vnc", "0.5", "--vc", "0.75", "--p", "0.8", "--q", "0",
              "--r0", "0.5", "--generations", "3"])
         assert not any(line.startswith("#") for line in out.splitlines())
+
+    def test_invalid_generations_exits_2(self):
+        code, _, _ = run_main(["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "0"])
+        assert code == 2
 
     def test_subnormal_payoff_keeps_the_share(self):
         """Both fitnesses of a subnormal v_noncoop no longer underflow to zero."""
@@ -342,6 +400,11 @@ class TestConfigFile:
         code, out, err = run_main(["analytic", "--config", str(config)])
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+    def test_missing_config_file_exits_2(self):
+        code, _, err = run_main(["analytic", "--config", "/nonexistent.json"])
+        assert code == 2
+        assert "config" in err
 
 
 # Values small enough that every accepted config runs in milliseconds.
