@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -555,19 +554,18 @@ def test_sweep_process_forks_its_workers_without_a_warning():
     """Python warns when a process with a second thread alive forks; the CLI
     process has no second thread when it forks its sweep workers."""
     argv, _, digest = MD5_PINS["sweep_grid"]
-    result = subprocess.run(
-        [sys.executable, "-W", "always", "-m", "dispositions_sim", *argv],
-        capture_output=True, env=dict(os.environ, DISPOSITIONS_SIM_THREADS="2"),
-    )
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert hashlib.md5(result.stdout).hexdigest() == digest
+    code, out, err = cli_process.run(argv, "2", "import warnings; warnings.simplefilter('always')")
+    assert (code, err) == (0, b"")
+    assert hashlib.md5(out).hexdigest() == digest
 
 
 # Calls cli.main with the collector off, as the process entry does, on each argv
-# of the JSON list in its first argument; after each call it prints on stderr
-# the exit code and the count of unreachable objects gc.collect() finds.
+# of the JSON list in its first argument, its stdout sent to the null device;
+# after each call it prints on stderr the exit code and the count of unreachable
+# objects gc.collect() finds.
 COLLECTOR_OFF_CLI = """
-import gc, json, sys
+import gc, json, os, sys
+os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
 gc.disable()
 from dispositions_sim.cli import main
 for argv in json.loads(sys.argv[1]):
@@ -600,18 +598,15 @@ def test_collector_off_garbage_does_not_grow_with_size(small, large):
     reference cycles per row, generation or block would grow without bound.
     After a warm-up ``simulate``, which imports numpy.random, what a call leaves
     for the collector is the same at a small and a large size."""
-    result = subprocess.run(
-        [sys.executable, "-c", COLLECTOR_OFF_CLI,
-         json.dumps([_simulate_blocks(1), small, large])],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        env=dict(os.environ, DISPOSITIONS_SIM_THREADS="2"),
+    code, _, err = cli_process.python(
+        COLLECTOR_OFF_CLI, json.dumps([_simulate_blocks(1), small, large]), threads="2"
     )
-    assert result.returncode == 0, result.stderr
+    assert code == 0, err
     _, (small_code, small_found), (large_code, large_found) = (
-        line.split() for line in result.stderr.splitlines()
+        line.split() for line in err.splitlines()
     )
-    assert (small_code, large_code) == ("0", "0"), result.stderr
-    assert small_found == large_found, result.stderr
+    assert (small_code, large_code) == (b"0", b"0"), err
+    assert small_found == large_found, err
 
 
 # A sweep whose inner axis holds more than one span: each p value gets two spans of

@@ -17,6 +17,7 @@ from dispositions_sim.analytic import (
     translucent_eu_sm,
 )
 from dispositions_sim.core import InvalidProbability, TranslucencyParams, TranslucentPayoffs
+from dispositions_sim import dynamics
 from dispositions_sim.dynamics import (
     CONVERGENCE_TOL,
     Trajectory,
@@ -165,6 +166,13 @@ class TestEvolve:
     def test_converged_trajectory_ends_early(self):
         trajectory = evolve(PAY, params(r=0.0), 1000)
         assert len(trajectory.steps) < 1001
+
+    def test_a_step_equal_to_the_tolerance_does_not_stop_the_run(self, monkeypatch):
+        """The run stops on a step strictly below CONVERGENCE_TOL: with the tolerance
+        set to the size of the first step, that step does not end it."""
+        first = evolve(PAY, params(), 1).steps
+        monkeypatch.setattr(dynamics, "CONVERGENCE_TOL", abs(first[1].r - first[0].r))
+        assert len(evolve(PAY, params(), 5).steps) > 2
 
     def test_non_positive_generations_rejected(self):
         with pytest.raises(ValueError):

@@ -587,6 +587,15 @@ class TestValidation:
         with pytest.raises(InvalidTrialCount):
             estimate_eus(reference_config(), bad_n, seed=0)
 
+    def test_the_largest_trial_count_passes_the_check(self, monkeypatch):
+        """2**63 - 1 trials, the most the int64 counts hold, reach the first block;
+        one more is refused before any block runs."""
+        record_blocks(monkeypatch, fail_at=0)
+        with pytest.raises(RuntimeError, match="^block 0 failed$"):
+            estimate_eus(reference_config(), 2**63 - 1, seed=0, workers=1)
+        with pytest.raises(InvalidTrialCount):
+            estimate_eus(reference_config(), 2**63, seed=0, workers=1)
+
     def test_single_trial_allowed(self):
         report = estimate_eus(reference_config(), 1, seed=0)
         assert report.n_trials == 1

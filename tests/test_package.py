@@ -1,17 +1,17 @@
 """Package surface and start-up contract: the lazily loaded public names,
 ``--version``, the commands that must run without importing numpy (all but
 ``simulate``), the modules that no start-up path loads, the size of the
-source, and what the benchmark harness needs of the package."""
+source, what the benchmark harness needs of the package, and that every child
+interpreter starts through ``cli_process``."""
 
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cli_process
 import dispositions_sim
 from dispositions_sim.cli import main
 from reference import README_ANALYTIC, README_SWEEP, REFERENCE_FLAGS
@@ -23,26 +23,12 @@ SOURCE_LINE_LIMIT = 1200
 
 # Makes any later ``import numpy`` raise ImportError in the child.
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
-RUN_CLI = (
-    "import runpy\n"
-    "runpy.run_module('dispositions_sim', run_name='__main__', alter_sys=True)\n"
-)
 
 
-def run_python(code, *args, block_numpy):
-    """(exit code, stdout, stderr) of ``python -c code args`` in a fresh
-    interpreter, with ``import numpy`` failing there if ``block_numpy``."""
-    prelude = BLOCK_NUMPY if block_numpy else ""
-    result = subprocess.run(
-        [sys.executable, "-c", prelude + code, *args], capture_output=True, text=True
-    )
-    return result.returncode, result.stdout, result.stderr
-
-
-def assert_numpy_free(code, *args):
-    """The run gives the same bytes and exit code with numpy blocked; returns them."""
-    free = run_python(code, *args, block_numpy=False)
-    assert run_python(code, *args, block_numpy=True) == free
+def assert_numpy_free(argv):
+    """The CLI run gives the same bytes and exit code with numpy blocked; returns them."""
+    free = cli_process.run(argv)
+    assert cli_process.run(argv, prelude=BLOCK_NUMPY) == free
     return free
 
 
@@ -94,17 +80,13 @@ def test_package_version_matches_pyproject():
 
 # --- the process entry --------------------------------------------------------
 
-# Runs the package as ``python -m`` does, with ``cli.main`` replaced by a stub that
-# prints whether the collector is on and returns 3; then prints whether the heap
-# was frozen by the time the run ended.
+# Replaces ``cli.main`` with a stub that prints whether the collector is on and
+# returns 3; at exit, prints whether the heap was frozen by then.
 ENTRY_SPY = """\
-import gc, runpy
+import atexit, gc
 from dispositions_sim import cli
 cli.main = lambda: print(gc.isenabled()) or 3
-try:
-    runpy.run_module('dispositions_sim', run_name='__main__', alter_sys=True)
-finally:
-    print(gc.get_freeze_count() > 0)
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
 """
 
 
@@ -114,7 +96,7 @@ def test_console_script_and_python_m_start_in_one_run():
     scripts = re.search(r"^\[project\.scripts\]\n(.*?)\n\n", PYPROJECT.read_text(), re.M | re.S)
     assert scripts is not None
     assert scripts.group(1) == 'dispositions-sim = "dispositions_sim.__main__:run"'
-    assert run_python(ENTRY_SPY, block_numpy=False) == (3, "False\nTrue\n", "")
+    assert cli_process.run([], prelude=ENTRY_SPY) == (3, b"False\nTrue\n", b"")
 
 
 # --- numpy-free paths ---------------------------------------------------------
@@ -126,33 +108,35 @@ def test_package_import_needs_no_numpy():
         "import dispositions_sim as d\n"
         "print(d.__version__, sorted(set(d.__all__) - set(dir(d))))\n"
     )
-    assert assert_numpy_free(code) == (0, dispositions_sim.__version__ + " []\n", "")
+    free = cli_process.python(code)
+    assert cli_process.python(BLOCK_NUMPY + code) == free
+    assert free == (0, f"{dispositions_sim.__version__} []\n".encode(), b"")
 
 
 def test_analytic_needs_no_numpy():
     argv = ["analytic", *REFERENCE_FLAGS, "--r", "0.5"]
-    assert assert_numpy_free(RUN_CLI, *argv) == (0, README_ANALYTIC, "")
+    assert assert_numpy_free(argv) == (0, README_ANALYTIC.encode(), b"")
 
 
 def test_evolve_needs_no_numpy():
     argv = ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"]
-    code, out, err = assert_numpy_free(RUN_CLI, *argv)
-    assert (code, err) == (0, "")
-    assert out.splitlines()[-1].startswith('# {"interior_threshold": ')
+    code, out, err = assert_numpy_free(argv)
+    assert (code, err) == (0, b"")
+    assert out.splitlines()[-1].startswith(b'# {"interior_threshold": ')
 
 
 @pytest.mark.parametrize(
     "argv", [["--help"], *([c, "--help"] for c in ("analytic", "simulate", "sweep", "evolve"))]
 )
 def test_help_needs_no_numpy(argv):
-    code, out, err = assert_numpy_free(RUN_CLI, *argv)
-    assert (code, err) == (0, "")
-    assert out.startswith("usage: dispositions-sim ")
+    code, out, err = assert_numpy_free(argv)
+    assert (code, err) == (0, b"")
+    assert out.startswith(b"usage: dispositions-sim ")
 
 
 def test_version_needs_no_numpy():
     version_line = f"dispositions-sim {dispositions_sim.__version__}\n"
-    assert assert_numpy_free(RUN_CLI, "--version") == (0, version_line, "")
+    assert assert_numpy_free(["--version"]) == (0, version_line.encode(), b"")
 
 
 def test_usage_errors_need_no_numpy(tmp_path):
@@ -166,58 +150,59 @@ def test_usage_errors_need_no_numpy(tmp_path):
          "OrderingViolation: require 0 < v_noncoop < v_coop < 1, got 0.8, 0.5\n"),
     ]
     for argv, line in cases:
-        assert assert_numpy_free(RUN_CLI, *argv) == (2, "", line)
+        assert assert_numpy_free(argv) == (2, b"", line.encode())
 
 
 @pytest.mark.parametrize(
     "axis, expected",
     [
-        ("r=0.25:0.75:3", (0, README_SWEEP, "")),
-        ("r=0:2:3", (2, "", "InvalidProbability: r must lie in [0, 1], got 2.0\n")),
+        ("r=0.25:0.75:3", (0, README_SWEEP.encode(), b"")),
+        ("r=0:2:3", (2, b"", b"InvalidProbability: r must lie in [0, 1], got 2.0\n")),
     ],
 )
 def test_sweep_needs_no_numpy(axis, expected):
     argv = ["sweep", *REFERENCE_FLAGS, "--axis", axis]
-    assert assert_numpy_free(RUN_CLI, *argv) == expected
+    assert assert_numpy_free(argv) == expected
 
 
 def test_simulate_does_load_numpy():
     """The blocked runs above would pass vacuously if blocking did nothing:
     ``simulate``, which computes on arrays, must fail with numpy blocked."""
     argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"]
-    code, out, err = run_python(RUN_CLI, *argv, block_numpy=False)
-    assert (code, err) == (0, "") and out
-    code, out, err = run_python(RUN_CLI, *argv, block_numpy=True)
-    assert (code, out) == (1, "")
-    assert err.startswith("internal error: ") and "import of numpy halted" in err
+    code, out, err = cli_process.run(argv)
+    assert (code, err) == (0, b"") and out
+    code, out, err = cli_process.run(argv, prelude=BLOCK_NUMPY)
+    assert (code, out) == (1, b"")
+    assert err.startswith(b"internal error: ") and b"import of numpy halted" in err
 
 
 # --- modules kept off the start-up path -------------------------------------
 
-# Writes to stderr the modules that running STEP adds to sys.modules.
-MODULES_ADDED = (
-    "import sys\n"
-    "before = set(sys.modules)\n"
-    "{step}\n"
-    "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
-)
-RUN_MAIN = "from dispositions_sim.cli import main\nif main({argv!r}):\n    raise SystemExit(1)"
+# At exit, writes to stderr the modules added to sys.modules since it ran.
+MODULES_ADDED = """\
+import atexit, sys
+before = set(sys.modules)
+atexit.register(lambda: sys.stderr.write(' '.join(sorted(set(sys.modules) - before))))
+"""
+# Each step is code for a fresh interpreter, or a CLI argv run by the shipped entry.
 START_UP_STEPS = {
     "package": "import dispositions_sim",
     "cli": "import dispositions_sim.cli",
-    "analytic": RUN_MAIN.format(argv=["analytic", *REFERENCE_FLAGS, "--r", "0.5"]),
-    "evolve": RUN_MAIN.format(
-        argv=["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"]
-    ),
-    "sweep": RUN_MAIN.format(argv=["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25:0.75:3"]),
+    "analytic": ["analytic", *REFERENCE_FLAGS, "--r", "0.5"],
+    "evolve": ["evolve", *REFERENCE_FLAGS, "--r0", "0.5", "--generations", "200"],
+    "sweep": ["sweep", *REFERENCE_FLAGS, "--axis", "r=0.25:0.75:3"],
 }
 
 
-def modules_added(step):
-    """The modules that ``step`` adds to a fresh interpreter's sys.modules."""
-    code, _, err = run_python(MODULES_ADDED.format(step=step), block_numpy=False)
+def modules_added(step, threads=None):
+    """The modules that ``step``, code or a CLI argv, adds to a fresh interpreter's
+    sys.modules."""
+    if isinstance(step, str):
+        code, _, err = cli_process.python(MODULES_ADDED + step)
+    else:
+        code, _, err = cli_process.run(step, threads, MODULES_ADDED)
     assert code == 0, err
-    return set(err.split())
+    return set(err.decode().split())
 
 
 @pytest.mark.parametrize(
@@ -245,37 +230,33 @@ def test_simulate_loads_no_thread_pool(threads):
     """The Monte Carlo helpers are plain threads: a multi-block ``simulate``
     loads neither ``concurrent.futures`` nor what it would bring along."""
     argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "200000", "--seed", "3"]
-    step = (f"import os; os.environ['DISPOSITIONS_SIM_THREADS'] = {threads!r}\n"
-            + RUN_MAIN.format(argv=argv))
-    added = modules_added(step)
+    added = modules_added(argv, threads)
     assert {"dispositions_sim.montecarlo", "numpy"} <= added
     assert not added & {"concurrent.futures", "logging", "queue"}
 
 
-# Writes to stderr whether dispositions_sim.montecarlo was in sys.modules when
-# numpy was first looked for, then runs STEP. A finished import moves its module
-# to the end of sys.modules, so the order of that dict cannot tell.
-MONTECARLO_BEFORE_NUMPY = (
-    "import sys\n"
-    "class Probe:\n"
-    "    seen = []\n"
-    "    @classmethod\n"
-    "    def find_spec(cls, name, path=None, target=None):\n"
-    "        if name == 'numpy' and not cls.seen:\n"
-    "            cls.seen.append('dispositions_sim.montecarlo' in sys.modules)\n"
-    "sys.meta_path.insert(0, Probe)\n"
-    "{step}\n"
-    "sys.stderr.write(repr(Probe.seen))\n"
-)
+# At exit, writes to stderr whether dispositions_sim.montecarlo was in sys.modules
+# when numpy was first looked for. A finished import moves its module to the end
+# of sys.modules, so the order of that dict cannot tell.
+MONTECARLO_BEFORE_NUMPY = """\
+import atexit
+class Probe:
+    seen = []
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == 'numpy' and not cls.seen:
+            cls.seen.append('dispositions_sim.montecarlo' in sys.modules)
+sys.meta_path.insert(0, Probe)
+atexit.register(lambda: sys.stderr.write(repr(Probe.seen)))
+"""
 
 
 def test_simulate_compiles_montecarlo_before_numpy_loads():
     """``simulate`` imports ``montecarlo`` before numpy, so that module's source,
     when no bytecode is cached, compiles before numpy's memory is taken."""
     argv = ["simulate", *REFERENCE_FLAGS, "--r", "0.5", "--n", "1000"]
-    step = MONTECARLO_BEFORE_NUMPY.format(step=RUN_MAIN.format(argv=argv))
-    code, out, err = run_python(step, block_numpy=False)
-    assert (code, err) == (0, "[True]")
+    code, out, err = cli_process.run(argv, prelude=MONTECARLO_BEFORE_NUMPY)
+    assert (code, err) == (0, b"[True]")
     assert json.loads(out)["n_trials"] == 1000
 
 
@@ -304,12 +285,27 @@ def test_source_stays_within_its_line_limit():
     assert lines <= SOURCE_LINE_LIMIT, f"src/ is {lines} lines: {counts}"
 
 
+# --- child processes ----------------------------------------------------------
+
+
+def test_only_cli_process_starts_child_interpreters():
+    """Every child interpreter of the tests, a CLI run or a probe, is started by
+    ``cli_process``, which kills it after 60 s and checks that none of its
+    processes is left."""
+    importers = {path.name for path in (ROOT / "tests").glob("*.py")
+                 if re.search(r"^(import|from) subprocess\b", path.read_text(), re.M)}
+    assert importers == {"cli_process.py"}
+
+
 # --- benchmark harness --------------------------------------------------------
+
+# Puts the benchmark harness on the child's sys.path.
+BENCHMARKS_ON_PATH = f"import sys; sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
 
 # Prints, one a line, the tracer targets that do not resolve, looked up as
 # ``tracer.install`` looks them up.
-UNRESOLVED_TRACER_TARGETS = """\
-import sys; sys.path.insert(0, 'benchmarks'); import run, tracer
+UNRESOLVED_TRACER_TARGETS = BENCHMARKS_ON_PATH + """\
+import run, tracer
 missing = {name for owner, attr, name, _, _ in tracer._patches()
            if (owner.__dict__.get(attr) if isinstance(owner, type)
                else getattr(owner, attr, None)) is None}
@@ -324,19 +320,16 @@ def test_benchmark_harness_imports_and_its_tracer_targets_resolve():
     span and counter would read 0 without an error. ``montecarlo.estimate_eus``
     is the known miss: cli imports estimate_eus per call, so the tracer's
     ``cli.estimate_eus`` target is absent."""
-    result = subprocess.run(
-        [sys.executable, "-c", UNRESOLVED_TRACER_TARGETS],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    assert (result.returncode, result.stderr) == (0, "")
-    assert set(result.stdout.split()) == {"montecarlo.estimate_eus"}
+    code, out, err = cli_process.python(UNRESOLVED_TRACER_TARGETS)
+    assert (code, err) == (0, b"")
+    assert set(out.decode().split()) == {"montecarlo.estimate_eus"}
 
 
 # Runs ``simulate`` through ``cli.main`` under the benchmark's tracer, stdout
 # sent to a sink with only ``write`` and ``flush`` as in a traced run, and
 # prints the exit code and the tracer's report as JSON.
-TRACED_SIMULATE = """\
-import contextlib, json, sys; sys.path.insert(0, 'benchmarks'); import tracer
+TRACED_SIMULATE = BENCHMARKS_ON_PATH + """\
+import contextlib, json, tracer
 from dispositions_sim import cli
 class Sink:
     def write(self, text): return len(text)
@@ -356,13 +349,9 @@ def test_tracer_counts_every_monte_carlo_draw_and_stream():
     raise no error. 200 001 trials are four blocks, the last one partial:
     three draws a trial, three ``uniforms`` calls and one ``block_streams``
     call a block."""
-    result = subprocess.run(
-        [sys.executable, "-c", TRACED_SIMULATE, *TRACED_SIMULATE_ARGV],
-        cwd=ROOT, capture_output=True, text=True,
-        env={**os.environ, "DISPOSITIONS_SIM_THREADS": "1"},
-    )
-    assert (result.returncode, result.stderr) == (0, "")
-    report = json.loads(result.stdout)
+    code, out, err = cli_process.python(TRACED_SIMULATE, *TRACED_SIMULATE_ARGV, threads="1")
+    assert (code, err) == (0, b"")
+    report = json.loads(out)
     assert report["code"] == 0
     assert report["counts"]["encounter.draws"] == 3 * 200_001
     assert report["spans"]["encounter.uniforms"][0] == 12
