@@ -28,14 +28,24 @@ class InvalidInput(ValueError):
     """The caller passed a bad value; the base of every argument check."""
 
 
-def _index(value, name: str, error: type[InvalidInput] = InvalidInput) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else (a bool too) raises."""
+MAX_COUNT = 2**63 - 1  # trial counts and sweep rows stay within a signed 64-bit integer
+
+
+def _index(value, name: str, low: int | None = None, high: int | None = None,
+           error: type[InvalidInput] = InvalidInput) -> int:
+    """``value`` as an int in [``low``, ``high``], a None bound unchecked. The first failed check
+    raises ``error``: the type (Python and numpy ints pass, a bool fails), ``low``, ``high``."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
+    return value
 
 
 _THREADS_ENV_VAR = "DISPOSITIONS_SIM_THREADS"

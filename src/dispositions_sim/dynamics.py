@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .analytic import EuComparison, _eu_cm, _eu_sm, translucent_eu_cm, translucent_eu_sm
-from .core import InvalidInput, TranslucencyParams, TranslucentPayoffs, _index, _Record
+from .core import TranslucencyParams, TranslucentPayoffs, _index, _Record
 
 CONVERGENCE_TOL = 1e-12
 
@@ -65,9 +65,7 @@ def evolve(
     Raises:
         InvalidInput: if generations < 1 or is not an integer.
     """
-    generations = _index(generations, "generations")
-    if generations < 1:
-        raise InvalidInput(f"generations must be >= 1, got {generations}")
+    generations = _index(generations, "generations", 1)
 
     # The inputs were validated at construction and the update keeps r in
     # [0, 1], so each generation evaluates the closed forms on bare floats.

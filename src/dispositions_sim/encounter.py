@@ -22,21 +22,16 @@ class EncounterConfig(_Record, namedtuple("EncounterConfig", "payoffs params")):
 
 
 class RngStream:
-    """Deterministic uniform stream addressed by (seed, stream_id).
+    """Deterministic uniform stream addressed by (seed, stream_id), integers >= 0.
 
-    Identical (seed, stream_id) pairs reproduce the identical draw
-    sequence regardless of process, thread schedule, or how draws are
-    batched. Distinct stream_ids under one seed give statistically
-    independent streams, which is how parallel trial blocks stay
-    reproducible.
+    Identical (seed, stream_id) pairs reproduce the identical draw sequence regardless
+    of process, thread schedule, or how draws are batched. Distinct stream_ids under
+    one seed give statistically independent streams, which is how parallel trial
+    blocks stay reproducible. ``InvalidInput`` names the first bad argument.
     """
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        seed, stream_id = _index(seed, "seed"), _index(stream_id, "stream_id")
-        if seed < 0 or stream_id < 0:
-            raise InvalidInput(
-                f"seed and stream_id must be non-negative, got {seed}, {stream_id}"
-            )
+        seed, stream_id = _index(seed, "seed", 0), _index(stream_id, "stream_id", 0)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, stream_id]))
         )

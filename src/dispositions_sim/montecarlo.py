@@ -39,7 +39,8 @@ from threading import Lock, Thread
 
 import numpy as np
 
-from .core import InvalidInput, TranslucencyParams, _index, _Record, refused, resolve_workers
+from .core import (MAX_COUNT, InvalidInput, TranslucencyParams, _index, _Record, refused,
+                   resolve_workers)
 from .encounter import EncounterConfig, RngStream
 
 BLOCK_TRIALS = 65_536
@@ -137,21 +138,13 @@ def estimate_eus(
     merge associatively, so the worker count never changes the report.
 
     Raises:
-        InvalidTrialCount: if n_trials is not an integer, or n_trials < 1 or
-            n_trials > 2**63 - 1.
-        InvalidInput: if seed is not an integer or < 0, the worker count is
-            malformed or < 0, or the OS refuses a worker thread.
+        InvalidTrialCount: if n_trials is not an integer in [1, 2**63 - 1].
+        InvalidInput: if seed is not an integer >= 0, the worker count is malformed
+            or < 0, or the OS refuses a worker thread. The arguments are checked in
+            signature order, and the first bad one is reported.
     """
-    n_trials = _index(n_trials, "n_trials", InvalidTrialCount)
-    seed = _index(seed, "seed")
-    if n_trials < 1:
-        raise InvalidTrialCount(f"n_trials must be >= 1, got {n_trials}")
-    if n_trials > np.iinfo(np.int64).max:  # the outcome counts are int64
-        raise InvalidTrialCount(
-            f"n_trials must be <= {np.iinfo(np.int64).max}, got {n_trials}"
-        )
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    n_trials = _index(n_trials, "n_trials", 1, MAX_COUNT, InvalidTrialCount)  # counts are int64
+    seed = _index(seed, "seed", 0)
 
     n_blocks = -(-n_trials // BLOCK_TRIALS)
     n_workers = resolve_workers(n_blocks, workers)

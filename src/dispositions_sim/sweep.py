@@ -27,14 +27,12 @@ from typing import Sequence
 
 from .analytic import _critical_ratio, _eu_cm, _eu_sm
 from .cli import ROWS_PER_WRITE, Settings, _fmt
-from .core import InvalidInput, TranslucentPayoffs, check_probability, refused, resolve_workers
+from .core import (MAX_COUNT, InvalidInput, TranslucentPayoffs, check_probability, refused,
+                   resolve_workers)
 
 PARAM_NAMES = ("p", "q", "r", "v_noncoop", "v_coop")
 
 SWEEP_HEADER = "p,q,r,v_noncoop,v_coop,eu_cm,eu_sm,margin,critical_ratio,cm_rational"
-
-# Row numbers stay within a signed 64-bit integer.
-_MAX_ROWS = 2**63 - 1
 
 _FLAG_FOR_PARAM = dict(zip(PARAM_NAMES, ("p", "q", "r", "vnc", "vc")))
 
@@ -94,8 +92,8 @@ def build_sweep_grid(settings: Settings) -> dict[str, Sequence[float]]:
     axes = {name: values for name, _, _, values in parsed}
     if len(axes) != len(axis_specs):
         raise InvalidInput("each parameter may be swept by at most one axis")
-    if math.prod(map(len, axes.values())) > _MAX_ROWS:
-        raise InvalidInput(f"sweep grid has more than {_MAX_ROWS} rows")
+    if math.prod(map(len, axes.values())) > MAX_COUNT:
+        raise InvalidInput(f"sweep grid has more than {MAX_COUNT} rows")
     # Filling is the slow part, so it waits until the grid is within bounds.
     # A non-finite bound gives non-finite points, which grid validation rejects.
     for _, start, stop, values in parsed:

@@ -60,8 +60,17 @@ class TestLibraryChecks:
         assert evolve(pay, t0, np.int64(3)) == evolve(pay, t0, 3)
 
     def test_rng_stream_guard(self):
-        with pytest.raises(InvalidInput, match="must be non-negative"):
+        with pytest.raises(InvalidInput, match=r"^seed must be >= 0, got -1$"):
             RngStream(-1)
+        with pytest.raises(InvalidInput, match=r"^stream_id must be >= 0, got -1$"):
+            RngStream(0, -1)
+
+    def test_first_bad_integer_argument_in_signature_order_is_reported(self):
+        """Each argument is checked in full, type and bounds, before the next."""
+        with pytest.raises(InvalidTrialCount, match=r"^n_trials must be >= 1, got 0$"):
+            estimate_eus(reference_config(), 0, 1.5)
+        with pytest.raises(InvalidInput, match=r"^seed must be >= 0, got -1$"):
+            RngStream(-1, 1.5)
 
     @pytest.mark.parametrize(
         "args, message",

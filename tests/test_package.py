@@ -1,8 +1,9 @@
 """Package surface and start-up contract: the lazily loaded public names,
 ``--version``, the commands that must run without importing numpy (all but
 ``simulate``), the modules that no start-up path loads, the size of the
-source, what the benchmark harness needs of the package, and that every child
-interpreter starts through ``cli_process``."""
+source and where it words its integer checks, what the benchmark harness
+needs of the package, and that every child interpreter starts through
+``cli_process``."""
 
 import json
 import re
@@ -283,6 +284,14 @@ def test_source_stays_within_its_line_limit():
     counts = {path.name: path.read_bytes().count(b"\n") for path in paths}
     lines = sum(counts.values())
     assert lines <= SOURCE_LINE_LIMIT, f"src/ is {lines} lines: {counts}"
+
+
+def test_only_core_words_an_integer_check():
+    """Every integer argument is checked by ``core``: no other module writes
+    the wording of a type or bound check itself."""
+    wording = re.compile(r"must be (>=|<=|an integer)")
+    writers = {path.name for path in SOURCES.glob("*.py") if wording.search(path.read_text())}
+    assert writers == {"core.py"}
 
 
 # --- child processes ----------------------------------------------------------
